@@ -18,26 +18,35 @@
 //   split_collapse_churn  one huge-page split + re-collapse round trip
 //   exchange_churn        one ExchangePages swap with the fast tier full
 //   migrate_evict_churn   the demote-then-promote pair the swap replaces
+//   zipf_sample           one ZipfSampler draw, alternating a table-covered
+//                         shape (n=24) with one whose tail passes the table's
+//                         rank cap (n=3072)
 //   sweep_wallclock       a small multi-job runner sweep through the pool
 //
 // Usage: hotpath_bench [--smoke] [--benchmarks=a,b] [--repeat=N] [--out=FILE]
 //                      [--force]
 //   --smoke   tiny iteration counts (the tier-1 ctest perf smoke); never
 //             writes a file.
+//   --benchmarks  run only the named benchmarks; an unknown name is a usage
+//             error (exit 2).
 //   --repeat  run each benchmark N times and keep the fastest (best-of-N
 //             rejects scheduler/frequency noise on shared hosts; default 1).
 //   --out     also write the JSON to FILE — refused unless the binary was
 //             built in a Release tree (or --force), so tracked BENCH numbers
 //             never come from unoptimized builds.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/perf/perf_util.h"
+#include "src/common/rng.h"
 #include "src/memtis/memtis_policy.h"
 #include "src/memtis/policy_registry.h"
 #include "src/runner/sweep.h"
@@ -296,6 +305,25 @@ PerfResult BenchMigrateEvictChurn(bool smoke) {
   return PerfResult{"migrate_evict_churn", "migrate_evict", cycles, t1 - t0};
 }
 
+// Zipf draws on two paper shapes, alternating: n=24, s=0.9 (the liblinear
+// and bwaves regions, all inside the sampler's table) and n=3072, s=1.1 (the
+// Graph500 key sampler, whose tail lies beyond the table's rank cap).
+PerfResult BenchZipfSample(bool smoke) {
+  const uint64_t iters = smoke ? 1'000 : 2'000'000;
+  const ZipfSampler head(24, 0.9);
+  const ZipfSampler tail(3072, 1.1);
+  Rng rng(5);
+  uint64_t sum = 0;
+  const uint64_t t0 = MonotonicNowNs();
+  for (uint64_t i = 0; i < iters; ++i) {
+    sum += head.Sample(rng);
+    sum += tail.Sample(rng);
+  }
+  const uint64_t t1 = MonotonicNowNs();
+  Blackhole(sum);
+  return PerfResult{"zipf_sample", "draw", 2 * iters, t1 - t0};
+}
+
 PerfResult BenchSweepWallclock(bool smoke) {
   SweepSpec sweep;
   sweep.systems = {"memtis", "hemem"};
@@ -332,26 +360,35 @@ constexpr Registered kBenchmarks[] = {
     {"split_collapse_churn", BenchSplitCollapseChurn},
     {"exchange_churn", BenchExchangeChurn},
     {"migrate_evict_churn", BenchMigrateEvictChurn},
+    {"zipf_sample", BenchZipfSample},
     {"sweep_wallclock", BenchSweepWallclock},
 };
 
-bool WantBenchmark(const std::string& filter, const char* name) {
-  if (filter.empty()) {
-    return true;
-  }
+constexpr char kUsage[] =
+    "usage: hotpath_bench [--smoke] [--benchmarks=a,b] [--repeat=N] "
+    "[--out=FILE] [--force]\n";
+
+// Splits a --benchmarks list into names; false (after naming the culprit)
+// if any is not a registered benchmark.
+bool ParseFilter(const std::string& list, std::set<std::string>* names) {
   size_t pos = 0;
-  while (pos <= filter.size()) {
-    const size_t comma = filter.find(',', pos);
-    const size_t end = comma == std::string::npos ? filter.size() : comma;
-    if (filter.compare(pos, end - pos, name) == 0) {
-      return true;
+  while (true) {
+    const size_t comma = list.find(',', pos);
+    const std::string name = list.substr(pos, comma - pos);
+    const bool known = std::any_of(
+        std::begin(kBenchmarks), std::end(kBenchmarks),
+        [&name](const Registered& bench) { return name == bench.name; });
+    if (!known) {
+      std::fprintf(stderr, "hotpath_bench: unknown benchmark '%s'\n",
+                   name.c_str());
+      return false;
     }
+    names->insert(name);
     if (comma == std::string::npos) {
-      break;
+      return true;
     }
     pos = comma + 1;
   }
-  return false;
 }
 
 int Main(int argc, char** argv) {
@@ -359,7 +396,7 @@ int Main(int argc, char** argv) {
   bool force = false;
   int repeat = 1;
   std::string out_path;
-  std::string filter;
+  std::set<std::string> wanted;  // empty: every benchmark
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
@@ -369,7 +406,10 @@ int Main(int argc, char** argv) {
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--benchmarks=", 0) == 0) {
-      filter = arg.substr(13);
+      if (!ParseFilter(arg.substr(13), &wanted)) {
+        std::fputs(kUsage, stderr);
+        return 2;
+      }
     } else if (arg.rfind("--repeat=", 0) == 0) {
       repeat = std::atoi(arg.c_str() + 9);
       if (repeat < 1) {
@@ -377,9 +417,7 @@ int Main(int argc, char** argv) {
         return 2;
       }
     } else {
-      std::fprintf(stderr,
-                   "usage: hotpath_bench [--smoke] [--benchmarks=a,b] "
-                   "[--repeat=N] [--out=FILE] [--force]\n");
+      std::fputs(kUsage, stderr);
       return arg == "--help" ? 0 : 2;
     }
   }
@@ -396,7 +434,7 @@ int Main(int argc, char** argv) {
 
   PerfReporter reporter(smoke, build_type);
   for (const Registered& bench : kBenchmarks) {
-    if (!WantBenchmark(filter, bench.name)) {
+    if (!wanted.empty() && wanted.count(bench.name) == 0) {
       continue;
     }
     PerfResult best = bench.fn(smoke);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
 namespace memtis {
@@ -131,6 +133,100 @@ TEST_P(ZipfExponentTest, DistributionIsValidAcrossExponents) {
 
 INSTANTIATE_TEST_SUITE_P(Exponents, ZipfExponentTest,
                          ::testing::Values(0.3, 0.7, 0.9, 0.99, 1.0, 1.2, 1.5));
+
+// The rejection-inversion loop evaluated by its reference expression on
+// every iteration: what Sample() must reproduce draw for draw.
+uint64_t ReferenceSample(const ZipfSampler& zipf, Rng& rng) {
+  if (zipf.n() == 1) {
+    return 0;
+  }
+  while (true) {
+    const uint64_t rank = zipf.Reference(rng.Next() >> 11);
+    if (rank != ZipfSampler::kReject) {
+      return rank;
+    }
+  }
+}
+
+std::vector<uint64_t> StateWords(const Rng& rng) {
+  struct Words {
+    std::vector<uint64_t> words;
+    void U64(uint64_t word) { words.push_back(word); }
+  } out;
+  rng.SaveState(out);
+  return out.words;
+}
+
+using ZipfShape = std::tuple<uint64_t, double>;
+
+// n spans a single item, the table's rank cap (256) and either side of it,
+// and a tail well beyond it; s includes the log/exp branch at exactly 1.
+class ZipfDrawTest : public ::testing::TestWithParam<ZipfShape> {};
+
+TEST_P(ZipfDrawTest, SampleMatchesReferenceDrawForDraw) {
+  const auto [n, s] = GetParam();
+  const ZipfSampler zipf(n, s);
+  Rng table_rng(n * 1'000'003 + static_cast<uint64_t>(s * 1000));
+  Rng reference_rng = table_rng;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const uint64_t got = zipf.Sample(table_rng);
+    const uint64_t want = ReferenceSample(zipf, reference_rng);
+    if (got != want) {
+      FAIL() << "draw " << i << ": table " << got << ", reference " << want;
+    }
+  }
+  EXPECT_EQ(StateWords(table_rng), StateWords(reference_rng));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ZipfDrawTest,
+    ::testing::Combine(::testing::Values<uint64_t>(1, 2, 3, 24, 48, 255, 256,
+                                                   257, 3072),
+                       ::testing::Values(0.3, 0.7, 0.9, 0.99, 1.0, 1.1, 1.2,
+                                         1.5)));
+
+// Every guard band is swept from 4096 deviates before its start to 4096
+// past its end. A band that missed its crossing would show up here: the
+// reference's verdict would then change inside the clean interval next to it,
+// so the table would disagree from the band edge up to the true crossing.
+class ZipfEdgeTest : public ::testing::TestWithParam<ZipfShape> {};
+
+TEST_P(ZipfEdgeTest, EveryBandEdgeMatchesReference) {
+  const auto [n, s] = GetParam();
+  const ZipfSampler zipf(n, s);
+  constexpr uint64_t kSpan = 4096;
+  constexpr uint64_t kDeviates = uint64_t{1} << 53;
+  for (const uint64_t edge : zipf.interval_ends()) {
+    const uint64_t lo = edge > kSpan ? edge - kSpan : 0;
+    const uint64_t hi = std::min(edge + kSpan, kDeviates);
+    for (uint64_t r = lo; r < hi; ++r) {
+      if (zipf.Iterate(r) != zipf.Reference(r)) {
+        FAIL() << "r = " << r << ": table " << zipf.Iterate(r)
+               << ", reference " << zipf.Reference(r);
+      }
+    }
+  }
+}
+
+// A table with every rank up to the cap has ~1000 edges, each swept by
+// ~8000 reference evaluations, so three full-cap shapes (both branches of H,
+// and the Graph500 key shape) keep the suite short.
+INSTANTIATE_TEST_SUITE_P(
+    SmallN, ZipfEdgeTest,
+    ::testing::Combine(::testing::Values<uint64_t>(2, 3, 24, 48),
+                       ::testing::Values(0.3, 0.7, 0.9, 0.99, 1.0, 1.1, 1.2,
+                                         1.5)));
+INSTANTIATE_TEST_SUITE_P(FullCap, ZipfEdgeTest,
+                         ::testing::Values(ZipfShape{256, 1.0},
+                                           ZipfShape{3072, 0.3},
+                                           ZipfShape{3072, 1.1}));
+
+TEST(ZipfSampler, TableStaysSmall) {
+  // ~4 intervals per tabulated rank: the table stays within ~16 KiB however
+  // large n gets, and a single item needs no table at all.
+  EXPECT_LE(ZipfSampler(1u << 20, 0.99).interval_ends().size(), 4u * 256 + 3);
+  EXPECT_EQ(ZipfSampler(1, 1.2).interval_ends().size(), 1u);
+}
 
 TEST(ParetoSampler, ValuesAtLeastOne) {
   Rng rng(29);

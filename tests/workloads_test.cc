@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
+#include <memory>
+#include <string>
 
 #include "src/policies/static_policy.h"
+#include "src/trace/trace.h"
 #include "src/workloads/registry.h"
+#include "src/workloads/synthetic.h"
 #include "src/workloads/workload_common.h"
 #include "tests/test_util.h"
 
@@ -171,6 +176,76 @@ TEST(WorkloadProperties, BtreeHasThpBloat) {
                        static_cast<double>(engine.mem().mapped_4k_pages());
   EXPECT_GT(bloat, 0.4);
   EXPECT_LT(bloat, 0.75);
+}
+
+// FNV-1a 64 over the first `accesses` (addr, is_write) pairs a workload
+// issues, captured through the engine's trace recorder (which replays every
+// run access by access).
+uint64_t AccessStreamDigest(Workload& workload, uint64_t accesses) {
+  const std::string path = std::string(::testing::TempDir()) +
+                           "/memtis_stream_" + std::string(workload.name()) +
+                           ".bin";
+  {
+    StaticPolicy policy(TierId::kCapacity);
+    TraceWriter writer(path);
+    EngineOptions opts;
+    opts.max_accesses = accesses;
+    opts.trace = &writer;
+    Engine engine(MachineFor(workload, 1.0), policy, opts);
+    engine.Run(workload);
+    writer.Finish();
+  }
+  uint64_t hash = 0xcbf29ce484222325ull;
+  auto mix = [&hash](uint64_t byte) {
+    hash ^= byte;
+    hash *= 0x100000001b3ull;
+  };
+  TraceReader reader(path);
+  TraceReader::Event event;
+  uint64_t seen = 0;
+  while (seen < accesses && reader.Next(event)) {
+    if (event.kind != TraceReader::Event::Kind::kRead &&
+        event.kind != TraceReader::Event::Kind::kWrite) {
+      continue;
+    }
+    for (int shift = 0; shift < 64; shift += 8) {
+      mix((event.addr >> shift) & 0xff);
+    }
+    mix(event.kind == TraceReader::Event::Kind::kWrite ? 1 : 0);
+    ++seen;
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(seen, accesses) << workload.name();
+  return hash;
+}
+
+// Pins the exact address stream of every model: any change in how a model
+// consumes randomness (the Zipf sampler included) shows up here even where
+// the golden cells, which cover only silo/btree/autotiering, do not look.
+TEST(WorkloadStreams, FirstAccessesArePinned) {
+  constexpr uint64_t kAccesses = 200'000;
+  const std::map<std::string, uint64_t> expected = {
+      {"graph500", 0xace68956ab3eaf67ull},
+      {"pagerank", 0x729c5e6b00b68fc4ull},
+      {"xsbench", 0x111db194420099cbull},
+      {"liblinear", 0x59d6bf6c5bc7dcacull},
+      {"silo", 0x310a1ec8fe846d8cull},
+      {"btree", 0x5ea9a2d4e41d887aull},
+      {"603.bwaves", 0x6f4008be33e7becbull},
+      {"654.roms", 0x53968b6d01e07282ull},
+      {"stream", 0xe8c60269da2d4c17ull},
+      {"synthetic", 0x493cbd2089032d83ull},
+  };
+  for (const auto& [name, digest] : expected) {
+    std::unique_ptr<Workload> workload;
+    if (name == "synthetic") {
+      workload = std::make_unique<SyntheticWorkload>();
+    } else {
+      workload = MakeWorkload(name, 0.25);
+    }
+    const uint64_t got = AccessStreamDigest(*workload, kAccesses);
+    EXPECT_EQ(got, digest) << name << ": 0x" << std::hex << got;
+  }
 }
 
 TEST(WorkloadProperties, BwavesChurnsShortLivedRegions) {
