@@ -21,6 +21,10 @@
 //   zipf_sample           one ZipfSampler draw, alternating a table-covered
 //                         shape (n=24) with one whose tail passes the table's
 //                         rank cap (n=3072)
+//   audit_tick            one InvariantAuditor::AuditNow (cheap checks, as on
+//                         an ordinary audited tick) over a warmed MEMTIS engine
+//   audit_tick_expensive  the same with the expensive checks included (every
+//                         16th audited tick and the run-end audit)
 //   sweep_wallclock       a small multi-job runner sweep through the pool
 //
 // Usage: hotpath_bench [--smoke] [--benchmarks=a,b] [--repeat=N] [--out=FILE]
@@ -46,6 +50,7 @@
 #include <vector>
 
 #include "bench/perf/perf_util.h"
+#include "src/audit/audit.h"
 #include "src/common/rng.h"
 #include "src/memtis/memtis_policy.h"
 #include "src/memtis/policy_registry.h"
@@ -324,6 +329,35 @@ PerfResult BenchZipfSample(bool smoke) {
   return PerfResult{"zipf_sample", "draw", 2 * iters, t1 - t0};
 }
 
+// Full invariant audits of one warmed MEMTIS heap (btree at 1:3): the cost
+// every audited tick of an auditor-armed run pays.
+PerfResult BenchAuditTick(const char* bench_name, bool include_expensive,
+                          bool smoke) {
+  const uint64_t iters = smoke ? 3 : (include_expensive ? 100 : 400);
+  MemtisState state(smoke ? 20'000 : 300'000);
+  InvariantAuditor auditor;
+  const uint64_t t0 = MonotonicNowNs();
+  for (uint64_t i = 0; i < iters; ++i) {
+    auditor.AuditNow(state.engine, include_expensive);
+  }
+  const uint64_t t1 = MonotonicNowNs();
+  if (!auditor.report().ok()) {
+    std::fprintf(stderr, "%s: audit violation on a healthy heap\n%s\n",
+                 bench_name, auditor.report().ToJson(2).c_str());
+  }
+  Blackhole(auditor.report().checks_run);
+  return PerfResult{bench_name, "audit", iters, t1 - t0};
+}
+
+PerfResult BenchAuditTickCheap(bool smoke) {
+  return BenchAuditTick("audit_tick", /*include_expensive=*/false, smoke);
+}
+
+PerfResult BenchAuditTickExpensive(bool smoke) {
+  return BenchAuditTick("audit_tick_expensive", /*include_expensive=*/true,
+                        smoke);
+}
+
 PerfResult BenchSweepWallclock(bool smoke) {
   SweepSpec sweep;
   sweep.systems = {"memtis", "hemem"};
@@ -361,6 +395,8 @@ constexpr Registered kBenchmarks[] = {
     {"exchange_churn", BenchExchangeChurn},
     {"migrate_evict_churn", BenchMigrateEvictChurn},
     {"zipf_sample", BenchZipfSample},
+    {"audit_tick", BenchAuditTickCheap},
+    {"audit_tick_expensive", BenchAuditTickExpensive},
     {"sweep_wallclock", BenchSweepWallclock},
 };
 

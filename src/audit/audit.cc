@@ -155,9 +155,12 @@ void CheckHugePageAccounting(MemorySystem& mem, AuditCollector& out) {
                  "huge page " + std::to_string(index) + " at unaligned vpn " +
                      std::to_string(page.base_vpn));
       }
+      // One pass for both recounts: the counter sum and the nonzero entries.
       uint64_t subpage_sum = 0;
+      uint32_t nonzero = 0;
       for (uint32_t c : page.huge->subpage_count) {
         subpage_sum += c;
+        nonzero += c != 0 ? 1 : 0;
       }
       if (subpage_sum > page.access_count()) {
         ++failures;
@@ -166,7 +169,6 @@ void CheckHugePageAccounting(MemorySystem& mem, AuditCollector& out) {
                      std::to_string(subpage_sum) + " > page counter " +
                      std::to_string(page.access_count()));
       }
-      const uint32_t nonzero = page.huge->RecountNonzeroSubpages();
       if (nonzero != page.huge->nonzero_subpages) {
         ++failures;
         out.Fail("huge-page-accounting",

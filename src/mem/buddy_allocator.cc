@@ -1,5 +1,8 @@
 #include "src/mem/buddy_allocator.h"
 
+#include <bit>
+#include <cstring>
+
 #include "src/common/check.h"
 
 namespace memtis {
@@ -119,34 +122,83 @@ bool BuddyAllocator::CheckConsistency(std::string* error) const {
     }
     return false;
   };
-  std::vector<uint8_t> covered(total_frames_, 0);
+  // One coverage bit per frame. total_frames_ is a multiple of 512, so the
+  // words tile the frames exactly; an aligned block below 64 frames lies in
+  // one word, a larger one spans whole words.
+  std::vector<uint64_t> covered(total_frames_ / 64, 0);
+  const auto overlap = [&fail](uint64_t word, uint64_t hit) {
+    // The lowest doubly-covered frame: the one a per-frame walk reports.
+    return fail("frame " + std::to_string(word * 64 + std::countr_zero(hit)) +
+                " covered by two free blocks");
+  };
   uint64_t counted = 0;
+  uint64_t listed = 0;
   for (int order = 0; order <= kMaxOrder; ++order) {
+    const uint64_t size = 1ULL << order;
     for (FrameId f = free_head_[order]; f != kNil; f = links_[f].next) {
       if (!IsFreeHead(f, order)) {
         return fail("frame " + std::to_string(f) + " on order-" +
                     std::to_string(order) + " free list has state " +
                     std::to_string(state_[f]));
       }
-      if ((f & ((1ULL << order) - 1)) != 0) {
+      if ((f & (size - 1)) != 0) {
         return fail("misaligned order-" + std::to_string(order) + " free block at " +
                     std::to_string(f));
       }
-      for (uint64_t i = 0; i < (1ULL << order); ++i) {
-        if (covered[f + i]) {
-          return fail("frame " + std::to_string(f + i) +
-                      " covered by two free blocks");
+      if (size < 64) {
+        uint64_t& word = covered[f / 64];
+        const uint64_t mask = ((1ULL << size) - 1) << (f % 64);
+        if ((word & mask) != 0) {
+          return overlap(f / 64, word & mask);
         }
-        covered[f + i] = 1;
+        word |= mask;
+      } else {
+        for (uint64_t w = f / 64; w < (f + size) / 64; ++w) {
+          if (covered[w] != 0) {
+            return overlap(w, covered[w]);
+          }
+          covered[w] = ~0ULL;
+        }
       }
-      counted += 1ULL << order;
+      counted += size;
+      ++listed;
     }
   }
   if (counted != free_frames_) {
     return fail("free lists hold " + std::to_string(counted) +
                 " frames but free_frames() is " + std::to_string(free_frames_));
   }
+  // Converse of the IsFreeHead test above: every frame marked as a head must
+  // be listed, or Free()'s buddy merge would unlink a block no list holds.
+  // Counts nonzero state bytes 64 at a time. An all-zero chunk (most of a
+  // tier) costs one OR of eight words; otherwise a byte's high bit is set iff
+  // the byte is nonzero, and the multiply sums a word's eight 0/1 bytes.
+  constexpr uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+  uint64_t heads = 0;
+  for (uint64_t f = 0; f < total_frames_; f += 64) {
+    uint64_t chunk[8];
+    std::memcpy(chunk, state_.data() + f, sizeof(chunk));
+    uint64_t any = 0;
+    for (uint64_t bytes : chunk) {
+      any |= bytes;
+    }
+    if (any == 0) {
+      continue;
+    }
+    for (uint64_t bytes : chunk) {
+      const uint64_t nonzero = (((bytes & kLow7) + kLow7) | bytes) & ~kLow7;
+      heads += ((nonzero >> 7) * 0x0101010101010101ULL) >> 56;
+    }
+  }
+  if (heads != listed) {
+    return fail(std::to_string(heads) + " frames marked as free-block heads but " +
+                "free lists hold " + std::to_string(listed) + " blocks");
+  }
   return true;
+}
+
+void BuddyAllocator::TestOnlyPushFree(FrameId frame, int order) {
+  PushFree(frame, order);
 }
 
 std::array<uint64_t, BuddyAllocator::kMaxOrder + 1> BuddyAllocator::FreeBlockCounts()

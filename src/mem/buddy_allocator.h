@@ -44,11 +44,16 @@ class BuddyAllocator {
   double huge_block_ratio() const;
 
   // Internal-consistency audit used by tests and the runtime auditor: walks
-  // all free lists and checks block alignment, no overlaps, and that
-  // free_frames() matches. The diagnostic variant describes the first
+  // all free lists and checks block alignment, no overlaps, that
+  // free_frames() matches, and that every frame marked as a free-block head is
+  // on a list. The diagnostic variant describes the first
   // inconsistency found in `error` (unchanged when consistent).
   bool CheckConsistency() const { return CheckConsistency(nullptr); }
   bool CheckConsistency(std::string* error) const;
+
+  // Fault injection for the consistency tests: queues a free block without
+  // touching free_frames() or checking for overlap.
+  void TestOnlyPushFree(FrameId frame, int order);
 
   // Number of free blocks currently queued at each order (walks the free
   // lists; diagnostic/observability only).

@@ -736,7 +736,7 @@ uint64_t MemorySystem::RecountWrittenSubpages() const {
   uint64_t written = 0;
   for (const PageInfo& p : pages_) {
     if (p.live && p.kind() == PageKind::kHuge) {
-      written += p.huge->written.count();
+      written += CountSubpages(p.huge->written);
     }
   }
   return written;
@@ -746,7 +746,7 @@ uint64_t MemorySystem::RecountBloatPages() const {
   uint64_t bloat = 0;
   for (const PageInfo& p : pages_) {
     if (p.live && p.kind() == PageKind::kHuge) {
-      bloat += kSubpagesPerHuge - p.huge->written.count();
+      bloat += kSubpagesPerHuge - CountSubpages(p.huge->written);
     }
   }
   return bloat;
@@ -795,11 +795,26 @@ bool MemorySystem::CheckConsistency(std::string* error) const {
                   std::to_string(p.tenant));
     }
     tenant_tier[p.tenant * kNumTiers + static_cast<int>(p.tier())] += n;
-    for (uint64_t j = 0; j < n; ++j) {
-      if (p.base_vpn + j >= page_table_.size() || page_table_[p.base_vpn + j] != i) {
-        return fail("page " + std::to_string(i) + " (vpn " +
-                    std::to_string(p.base_vpn) + " + " + std::to_string(j) +
-                    ") not mapped back by the page table");
+    // Every vpn of the span must map back to i: one bounds test for the span,
+    // then an OR of (entry ^ i) over it, which is zero iff all entries match.
+    // Only a mismatch reruns the per-vpn walk to name the first bad vpn.
+    bool mapped_back = p.base_vpn <= page_table_.size() &&
+                       n <= page_table_.size() - p.base_vpn;
+    if (mapped_back) {
+      const PageIndex* span = page_table_.data() + p.base_vpn;
+      PageIndex diff = 0;
+      for (uint64_t j = 0; j < n; ++j) {
+        diff |= span[j] ^ i;
+      }
+      mapped_back = diff == 0;
+    }
+    if (!mapped_back) {
+      for (uint64_t j = 0; j < n; ++j) {
+        if (p.base_vpn + j >= page_table_.size() || page_table_[p.base_vpn + j] != i) {
+          return fail("page " + std::to_string(i) + " (vpn " +
+                      std::to_string(p.base_vpn) + " + " + std::to_string(j) +
+                      ") not mapped back by the page table");
+        }
       }
     }
     if (p.kind() == PageKind::kHuge) {
@@ -807,7 +822,7 @@ bool MemorySystem::CheckConsistency(std::string* error) const {
         return fail("huge page " + std::to_string(i) + " has no HugePageMeta");
       }
       ++huge;
-      written += p.huge->written.count();
+      written += CountSubpages(p.huge->written);
     }
   }
   if (mapped != mapped_4k_) {

@@ -12,12 +12,38 @@
 #include <array>
 #include <bitset>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/mem/types.h"
 
 namespace memtis {
+
+// Number of set bits in a subpage bitset. Same value as set.count(), but the
+// x86-64 baseline has no POPCNT, so count() makes one libgcc call per word;
+// this copies the set's eight words out and counts them with shifts and masks.
+inline uint32_t CountSubpages(const std::bitset<kSubpagesPerHuge>& set) {
+  constexpr size_t kWords = kSubpagesPerHuge / 64;
+  static_assert(kSubpagesPerHuge % 64 == 0 &&
+                    sizeof(std::bitset<kSubpagesPerHuge>) == kWords * sizeof(uint64_t) &&
+                    std::is_trivially_copyable_v<std::bitset<kSubpagesPerHuge>>,
+                "bitset<512> must be eight plain words");
+  uint64_t words[kWords];
+  std::memcpy(words, &set, sizeof(words));
+  uint64_t bytes = 0;  // per-byte counts: <= 8 per word, <= 64 over all eight
+  for (uint64_t w : words) {
+    w -= (w >> 1) & 0x5555555555555555ULL;
+    w = (w & 0x3333333333333333ULL) + ((w >> 2) & 0x3333333333333333ULL);
+    bytes += (w + (w >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  }
+  // Widen to 16-bit lanes (the total, up to 512, overflows a byte) and sum
+  // the four lanes into the top one.
+  constexpr uint64_t kEvenBytes = 0x00ff00ff00ff00ffULL;
+  const uint64_t lanes = (bytes & kEvenBytes) + ((bytes >> 8) & kEvenBytes);
+  return static_cast<uint32_t>((lanes * 0x0001000100010001ULL) >> 48);
+}
 
 // Extra metadata carried only by huge pages (the kernel version stores this in
 // the compound page's unused struct pages).
@@ -41,14 +67,6 @@ struct HugePageMeta {
       nonzero_subpages += count != 0 ? 1 : -1;
     }
     subpage_count[j] = count;
-  }
-
-  uint32_t RecountNonzeroSubpages() const {
-    uint32_t n = 0;
-    for (uint32_t c : subpage_count) {
-      n += c != 0 ? 1 : 0;
-    }
-    return n;
   }
 
   uint32_t accessed_count() const { return static_cast<uint32_t>(accessed.count()); }

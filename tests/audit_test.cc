@@ -102,6 +102,88 @@ TEST(AuditChecks, PageTableMappingCatchesCorruptedTranslation) {
   EXPECT_GT(ViolationsFor(report, "page-table-mapping"), 0) << report.ToJson(2);
 }
 
+// Shifts one page's base_vpn by `shift` and returns the page-table-mapping
+// report, next to the first unmapped j a per-vpn walk over Lookup() finds.
+struct ShiftedSpan {
+  std::string detail;
+  uint64_t first_bad_j;
+  std::string expected;
+};
+ShiftedSpan ShiftSpan(MemorySystem& mem, PageIndex index, Vpn shift) {
+  PageInfo& page = mem.page(index);
+  page.base_vpn += shift;
+  uint64_t j = 0;
+  while (j < page.size_pages() && mem.Lookup(page.base_vpn + j) == index) {
+    ++j;
+  }
+  AuditReport report;
+  AuditCollector out(&report);
+  CheckPageTableMapping(mem, out);
+  EXPECT_EQ(report.violations.size(), 1u) << report.ToJson(2);
+  return ShiftedSpan{
+      report.violations.empty() ? "" : report.violations[0].detail, j,
+      "page " + std::to_string(index) + " (vpn " + std::to_string(page.base_vpn) +
+          " + " + std::to_string(j) + ") not mapped back by the page table"};
+}
+
+TEST(AuditChecks, PageTableMappingNamesTheFirstUnmappedVpn) {
+  // Four huge pages: the page table ends exactly at the last one's span.
+  const MemoryConfig config{.fast_frames = 2048, .capacity_frames = 2048};
+  struct Case {
+    int page;   // which of the four huge pages to shift
+    Vpn shift;  // vpns to move its base by
+    uint64_t first_bad_j;
+  };
+  const Case cases[] = {
+      {0, kSubpagesPerHuge, 0},           // lands on the next page's span
+      {1, 256, 256},                      // mid-span
+      {2, 1, 511},                        // only the last vpn is off
+      {3, 100, 412},                      // runs past the page table's end
+      {3, kSubpagesPerHuge, 0},           // starts at the page table's end
+      {0, static_cast<Vpn>(1) << 40, 0},  // far past the end
+  };
+  for (const Case& c : cases) {
+    MemorySystem mem(config);
+    const Vaddr start = mem.AllocateRegion(4 * kHugePageSize, AllocOptions{});
+    const PageIndex index = mem.Lookup(VpnOf(start) + c.page * kSubpagesPerHuge);
+    ASSERT_EQ(mem.page(index).kind(), PageKind::kHuge);
+    ASSERT_TRUE(mem.CheckConsistency());
+    const ShiftedSpan got = ShiftSpan(mem, index, c.shift);
+    EXPECT_EQ(got.first_bad_j, c.first_bad_j) << "page " << c.page;
+    EXPECT_EQ(got.detail, got.expected) << "page " << c.page;
+  }
+  // A base page: its one-vpn span moved onto its neighbour.
+  MemorySystem mem(config);
+  AllocOptions base_pages;
+  base_pages.use_thp = false;
+  const Vaddr start = mem.AllocateRegion(kHugePageSize, base_pages);
+  const ShiftedSpan got = ShiftSpan(mem, mem.Lookup(VpnOf(start) + 7), 1);
+  EXPECT_EQ(got.first_bad_j, 0u);
+  EXPECT_EQ(got.detail, got.expected);
+}
+
+TEST(AuditChecks, HugePageAccountingReportsStaleNonzeroSummary) {
+  MemtisRun run;
+  PageIndex corrupted = kInvalidPage;
+  uint32_t summary = 0;
+  run.engine.mem().ForEachLivePage([&](PageIndex index, PageInfo& page) {
+    if (corrupted == kInvalidPage && page.kind() == PageKind::kHuge) {
+      summary = ++page.huge->nonzero_subpages;
+      corrupted = index;
+    }
+  });
+  ASSERT_NE(corrupted, kInvalidPage);
+  AuditReport report;
+  AuditCollector out(&report);
+  CheckHugePageAccounting(run.engine.mem(), out);
+  ASSERT_EQ(report.violations.size(), 1u) << report.ToJson(2);
+  EXPECT_EQ(report.violations[0].detail,
+            "huge page " + std::to_string(corrupted) + ": nonzero-subpage summary " +
+                std::to_string(summary) + " != recount " +
+                std::to_string(summary - 1) +
+                " (the cooling scan-skip relies on this)");
+}
+
 TEST(AuditChecks, FrameConservationCatchesTierFlip) {
   MemtisRun run;
   // Corrupt one live page's tier field: its frames are now accounted against

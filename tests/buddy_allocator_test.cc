@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -131,6 +135,184 @@ TEST_P(BuddyOrderTest, AllocationIsAlignedToOrder) {
 
 INSTANTIATE_TEST_SUITE_P(AllOrders, BuddyOrderTest,
                          ::testing::Range(0, BuddyAllocator::kMaxOrder + 1));
+
+// --- Exactness of CheckConsistency's word-parallel coverage scan --------------
+
+using Pushes = std::vector<std::pair<FrameId, int>>;
+
+// A buddy allocator with every frame allocated, so its free lists hold exactly
+// the blocks a test then pushes.
+BuddyAllocator Exhausted(uint64_t frames) {
+  BuddyAllocator buddy(frames);
+  while (buddy.Allocate(BuddyAllocator::kMaxOrder).has_value()) {
+  }
+  EXPECT_EQ(buddy.free_frames(), 0u);
+  return buddy;
+}
+
+// Per-frame reference for the pushes' verdict: walks the free lists in the
+// allocator's order (orders ascending, each list newest push first) with one
+// byte per frame and reports the first frame covered twice, or the free-frame
+// mismatch the pushes cause. "" means consistent.
+std::string PerFrameVerdict(uint64_t frames, const Pushes& pushes,
+                            uint64_t free_frames) {
+  std::vector<uint8_t> covered(frames, 0);
+  uint64_t counted = 0;
+  for (int order = 0; order <= BuddyAllocator::kMaxOrder; ++order) {
+    for (auto it = pushes.rbegin(); it != pushes.rend(); ++it) {
+      if (it->second != order) {
+        continue;
+      }
+      for (uint64_t i = 0; i < (1ULL << order); ++i) {
+        if (covered[it->first + i]) {
+          return "frame " + std::to_string(it->first + i) +
+                 " covered by two free blocks";
+        }
+        covered[it->first + i] = 1;
+      }
+      counted += 1ULL << order;
+    }
+  }
+  if (counted != free_frames) {
+    return "free lists hold " + std::to_string(counted) +
+           " frames but free_frames() is " + std::to_string(free_frames);
+  }
+  return "";
+}
+
+std::string Verdict(const BuddyAllocator& buddy) {
+  std::string error;
+  return buddy.CheckConsistency(&error) ? "" : error;
+}
+
+TEST(BuddyConsistency, NestedOverlapAtEveryOrderNamesTheFirstSharedFrame) {
+  constexpr uint64_t kFrames = 2048;
+  constexpr FrameId kBase = 1024;  // outer blocks sit at one order-9 slot
+  int checked = 0;
+  for (int inner = 0; inner < BuddyAllocator::kMaxOrder; ++inner) {
+    for (int outer = inner + 1; outer <= BuddyAllocator::kMaxOrder; ++outer) {
+      const uint64_t inner_size = 1ULL << inner;
+      const uint64_t outer_size = 1ULL << outer;
+      // Inner heads: the first slot past the outer head, the middle slot and
+      // the last slot (mid-word, word-boundary and last-bit frames alike).
+      const std::set<uint64_t> offsets = {inner_size, outer_size / 2,
+                                          outer_size / 2 + inner_size,
+                                          outer_size - inner_size};
+      for (uint64_t offset : offsets) {
+        if (offset + inner_size > outer_size) {
+          continue;
+        }
+        for (bool inject_outer : {false, true}) {
+          Pushes pushes = {{kBase, outer}, {kBase + offset, inner}};
+          if (inject_outer) {
+            std::swap(pushes[0], pushes[1]);
+          }
+          BuddyAllocator buddy = Exhausted(kFrames);
+          for (const auto& [frame, order] : pushes) {
+            buddy.TestOnlyPushFree(frame, order);
+          }
+          const std::string expected = PerFrameVerdict(kFrames, pushes, 0);
+          ASSERT_EQ(expected, "frame " + std::to_string(kBase + offset) +
+                                  " covered by two free blocks");
+          EXPECT_EQ(Verdict(buddy), expected)
+              << "inner order " << inner << " at +" << offset << ", outer order "
+              << outer;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 200);
+}
+
+TEST(BuddyConsistency, RandomLayoutsMatchThePerFrameWalk) {
+  constexpr uint64_t kFrames = 4096;
+  Rng rng(2023);
+  int overlaps = 0;
+  int mid_word = 0;
+  int word_edge = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    BuddyAllocator buddy = Exhausted(kFrames);
+    Pushes pushes;
+    std::set<FrameId> heads;
+    const uint64_t blocks = 1 + rng.NextBelow(16);
+    for (uint64_t b = 0; b < blocks; ++b) {
+      // Favour small orders so several blocks share a coverage word.
+      const uint64_t orders = rng.NextBool(0.7) ? 7 : BuddyAllocator::kMaxOrder + 1;
+      const int order = static_cast<int>(rng.NextBelow(orders));
+      // Confine most blocks to one order-9 slot so they collide often.
+      const uint64_t span = rng.NextBool(0.8) ? 512 : kFrames;
+      const FrameId frame = rng.NextBelow(span >> order) << order;
+      if (!heads.insert(frame).second) {
+        continue;  // a head pushed twice is a different fault (state clash)
+      }
+      pushes.emplace_back(frame, order);
+      buddy.TestOnlyPushFree(frame, order);
+    }
+    const std::string expected = PerFrameVerdict(kFrames, pushes, 0);
+    ASSERT_EQ(Verdict(buddy), expected) << "trial " << trial;
+    if (expected.rfind("frame ", 0) == 0) {
+      const uint64_t frame = std::stoull(expected.substr(6));
+      ++overlaps;
+      (frame % 64 == 0 || frame % 64 == 63 ? word_edge : mid_word) += 1;
+    }
+  }
+  EXPECT_GT(overlaps, 2000);
+  EXPECT_GT(mid_word, 200);
+  EXPECT_GT(word_edge, 100);
+}
+
+// Minimal snapshot stream for BuddyAllocator::SaveState / LoadState.
+struct BuddyStateImage {
+  std::vector<uint64_t> words;
+  std::vector<uint8_t> state;
+  size_t next = 0;
+  bool failed = false;
+};
+struct BuddyImageWriter {
+  BuddyStateImage* image;
+  void U64(uint64_t v) { image->words.push_back(v); }
+  void Bytes(const uint8_t* data, size_t n) { image->state.assign(data, data + n); }
+};
+struct BuddyImageReader {
+  BuddyStateImage* image;
+  uint64_t U64() { return image->words[image->next++]; }
+  void Bytes(uint8_t* data, size_t n) { std::memcpy(data, image->state.data(), n); }
+  void Fail() { image->failed = true; }
+};
+
+TEST(BuddyConsistency, StrayHeadsMissingFromTheirListsAreReported) {
+  // Stray counts that land in one byte, one word, across words and across
+  // 64-frame chunks of the state scan.
+  for (uint64_t strays : {1u, 2u, 9u, 65u, 100u}) {
+    BuddyAllocator buddy(1024);
+    std::vector<FrameId> taken;
+    for (uint64_t i = 0; i < strays; ++i) {
+      taken.push_back(*buddy.Allocate(0));
+    }
+    ASSERT_TRUE(buddy.CheckConsistency());
+    uint64_t listed = 0;
+    for (uint64_t n : buddy.FreeBlockCounts()) {
+      listed += n;
+    }
+    // A snapshot whose state bytes mark allocated frames as order-0 heads
+    // that no free list holds: freeing a buddy of one would "merge" with it.
+    BuddyStateImage image;
+    BuddyImageWriter writer{&image};
+    buddy.SaveState(writer);
+    for (FrameId frame : taken) {
+      image.state[frame] = 1;
+    }
+    BuddyImageReader reader{&image};
+    buddy.LoadState(reader);
+    ASSERT_FALSE(image.failed);
+    EXPECT_EQ(Verdict(buddy), std::to_string(listed + strays) +
+                                  " frames marked as free-block heads but free "
+                                  "lists hold " +
+                                  std::to_string(listed) + " blocks")
+        << strays << " strays";
+  }
+}
 
 }  // namespace
 }  // namespace memtis

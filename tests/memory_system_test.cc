@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
+
 namespace memtis {
 namespace {
 
@@ -229,6 +231,29 @@ TEST(MemorySystem, ChurnKeepsConsistency) {
   }
   EXPECT_EQ(mem.rss_pages(), 0u);
   EXPECT_TRUE(mem.CheckConsistency());
+}
+
+TEST(CountSubpages, MatchesBitsetCount) {
+  std::bitset<kSubpagesPerHuge> set;
+  EXPECT_EQ(CountSubpages(set), 0u);
+  set.set();
+  EXPECT_EQ(CountSubpages(set), kSubpagesPerHuge);
+  for (size_t bit = 0; bit < kSubpagesPerHuge; ++bit) {
+    std::bitset<kSubpagesPerHuge> single;
+    single.set(bit);
+    ASSERT_EQ(CountSubpages(single), 1u) << "bit " << bit;
+    set.reset(bit);
+    ASSERT_EQ(CountSubpages(set), set.count()) << "cleared through bit " << bit;
+  }
+  Rng rng(512);
+  for (int trial = 0; trial < 10'000; ++trial) {
+    std::bitset<kSubpagesPerHuge> random;
+    const double density = rng.NextDouble();
+    for (size_t bit = 0; bit < kSubpagesPerHuge; ++bit) {
+      random[bit] = rng.NextBool(density);
+    }
+    ASSERT_EQ(CountSubpages(random), random.count()) << "trial " << trial;
+  }
 }
 
 }  // namespace
