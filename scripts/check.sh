@@ -19,11 +19,12 @@
 # shard-identity suite with real worker threads, since ShardedEngine is the
 # repo's first intra-cell threading, and an eighth pass re-running the
 # distributed-campaign chaos/differential suite (multi-worker byte-identity,
-# killed/hung workers, coordinator SIGKILL + restart, wire/claim-file fuzz)
-# under the sanitizers, since the coordinator/worker layer is the repo's
-# first socket and multi-process I/O, and a ninth pass driving the snapshot
-# plane's kill-storm (kill-anywhere differentials, snapshot-loader corruption
-# fuzzers, real-SIGKILL checkpoint smoke) under the same sanitizers.
+# killed/hung workers, coordinator SIGKILL + --resume restart, wire-protocol
+# fuzz) under the sanitizers, since the coordinator/worker layer is the
+# repo's first socket and multi-process I/O, and a ninth pass driving the
+# snapshot plane's kill-storm (kill-anywhere differentials, snapshot-loader
+# corruption fuzzers, real-SIGKILL checkpoint smoke) under the same
+# sanitizers.
 # Usage:
 #
 #   scripts/check.sh [build-dir]
@@ -118,13 +119,13 @@ cmake --build "$TSAN_DIR" -j"$JOBS" --target replay_differential_test
 echo "sharded-engine TSan pass: clean"
 echo "== eighth pass: distributed campaign chaos under ASan/UBSan =="
 # The multi-worker campaign suite — differential byte-identity at 1 and 4
-# workers over both backends, killed and hung workers, lease-expiry caps,
-# coordinator restart recovery — plus the wire/claim-file fuzzers and the
-# real-SIGKILL smoke script, all in the sanitized build so every socket,
-# claim-file, and fork path is leak- and UB-checked end to end.
+# workers, killed and hung workers, lease-expiry caps, coordinator restart
+# from a torn --resume manifest — plus the wire-protocol fuzzers and the
+# real-SIGKILL smoke script, all in the sanitized build so every socket and
+# fork path is leak- and UB-checked end to end.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" \
     -R '(Distributed\.|Campaign\.|smoke_distributed)'
-"$BUILD_DIR/tests/fuzz_test" --gtest_filter='Fuzz.FrameDecoder*:Fuzz.Protocol*:Fuzz.Coordinator*:Fuzz.FileQueue*:Fuzz.JobSpecJson*'
+"$BUILD_DIR/tests/fuzz_test" --gtest_filter='Fuzz.FrameDecoder*:Fuzz.Protocol*:Fuzz.Coordinator*:Fuzz.JobSpecJson*'
 echo "distributed chaos pass: clean"
 echo "== ninth pass: checkpoint kill-storm under ASan/UBSan =="
 # The snapshot plane end to end in the sanitized build: serializer/envelope

@@ -1,8 +1,9 @@
 #include "src/common/netio.h"
 
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
+#include <utility>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -70,7 +71,60 @@ bool FrameDecoder::Next(std::string* frame) {
   return true;
 }
 
-int ListenLoopback(uint16_t port, uint16_t* bound_port, std::string* error) {
+namespace {
+
+bool ToSockaddr(const NetAddress& addr, sockaddr_in* out, std::string* error) {
+  *out = sockaddr_in{};
+  out->sin_family = AF_INET;
+  out->sin_port = htons(addr.port);
+  if (inet_pton(AF_INET, addr.host.c_str(), &out->sin_addr) != 1) {
+    if (error != nullptr) {
+      *error = "bad numeric IPv4 host '" + addr.host + "'";
+    }
+    return false;
+  }
+  return true;
+}
+
+std::string Describe(const NetAddress& addr) {
+  return addr.host + ":" + std::to_string(addr.port);
+}
+
+}  // namespace
+
+bool ParseNetAddress(const std::string& text, NetAddress* out,
+                     std::string* error) {
+  NetAddress addr;
+  std::string_view port_text = text;
+  if (const size_t colon = text.rfind(':'); colon != std::string::npos) {
+    addr.host = text.substr(0, colon);
+    port_text.remove_prefix(colon + 1);
+  }
+  const char* end = port_text.data() + port_text.size();
+  const auto [ptr, ec] = std::from_chars(port_text.data(), end, addr.port);
+  if (port_text.empty() || ec != std::errc() || ptr != end) {
+    if (error != nullptr) {
+      *error = "bad port in address '" + text + "' (want [HOST:]PORT)";
+    }
+    return false;
+  }
+  sockaddr_in ignored;
+  if (!ToSockaddr(addr, &ignored, nullptr)) {
+    if (error != nullptr) {
+      *error = "bad host in address '" + text +
+               "' (want a numeric IPv4 address; hostnames are not resolved)";
+    }
+    return false;
+  }
+  *out = std::move(addr);
+  return true;
+}
+
+int ListenTcp(const NetAddress& addr, uint16_t* bound_port, std::string* error) {
+  sockaddr_in sa;
+  if (!ToSockaddr(addr, &sa, error)) {
+    return -1;
+  }
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     if (error != nullptr) {
@@ -80,14 +134,10 @@ int ListenLoopback(uint16_t port, uint16_t* bound_port, std::string* error) {
   }
   const int one = 1;
   setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+  if (bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
       listen(fd, 64) != 0) {
     if (error != nullptr) {
-      *error = "cannot listen on 127.0.0.1:" + std::to_string(port) + ": " +
+      *error = "cannot listen on " + Describe(addr) + ": " +
                std::strerror(errno);
     }
     close(fd);
@@ -99,35 +149,20 @@ int ListenLoopback(uint16_t port, uint16_t* bound_port, std::string* error) {
     if (getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
       *bound_port = ntohs(bound.sin_port);
     } else {
-      *bound_port = port;
+      *bound_port = addr.port;
     }
   }
   return fd;
 }
 
-int ConnectLoopback(const std::string& addr, std::string* error) {
-  std::string host = "127.0.0.1";
-  std::string port_text = addr;
-  if (const size_t colon = addr.rfind(':'); colon != std::string::npos) {
-    host = addr.substr(0, colon);
-    port_text = addr.substr(colon + 1);
-  }
-  char* end = nullptr;
-  const unsigned long port = std::strtoul(port_text.c_str(), &end, 10);
-  if (end == port_text.c_str() || *end != '\0' || port == 0 || port > 65535) {
-    if (error != nullptr) {
-      *error = "bad port in address '" + addr + "'";
-    }
+int ConnectTcp(const NetAddress& addr, std::string* error) {
+  sockaddr_in sa;
+  if (!ToSockaddr(addr, &sa, error)) {
     return -1;
   }
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(static_cast<uint16_t>(port));
-  if (inet_pton(AF_INET, host.c_str(), &sa.sin_addr) != 1) {
+  if (addr.port == 0) {
     if (error != nullptr) {
-      *error = "bad numeric IPv4 host in address '" + addr +
-               "' (hostnames are not resolved; use the file backend for "
-               "cross-host queues)";
+      *error = "cannot connect to " + Describe(addr) + ": port 0";
     }
     return -1;
   }
@@ -140,7 +175,8 @@ int ConnectLoopback(const std::string& addr, std::string* error) {
   }
   if (connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
     if (error != nullptr) {
-      *error = "cannot connect to " + addr + ": " + std::strerror(errno);
+      *error = "cannot connect to " + Describe(addr) + ": " +
+               std::strerror(errno);
     }
     close(fd);
     return -1;

@@ -1,6 +1,7 @@
 // Minimal socket/poll plumbing for the distributed campaign plane
 // (src/runner/coordinator.* / work_queue.*): length-prefixed framing over
-// loopback TCP, plus the monotonic-clock helpers both ends share.
+// TCP, the numeric-IPv4 address form both ends accept, plus the
+// monotonic-clock helpers they share.
 //
 // Framing: every message is a 4-byte big-endian payload length followed by
 // the payload bytes. The decoder is incremental (feed arbitrary chunks, pop
@@ -46,13 +47,26 @@ class FrameDecoder {
   bool bad_ = false;
 };
 
-// Listens on 127.0.0.1:port (port 0 = kernel-assigned; *bound_port receives
-// the actual port). Returns the listening fd, or -1 with *error set.
-int ListenLoopback(uint16_t port, uint16_t* bound_port, std::string* error);
+// A numeric IPv4 endpoint. Hostnames are never resolved: the campaign plane
+// stays free of DNS, and an address means exactly what it says.
+struct NetAddress {
+  std::string host = "127.0.0.1";
+  uint16_t port = 0;
+};
 
-// Connects to `addr`: "PORT" (loopback) or "HOST:PORT" with a numeric IPv4
-// host. Blocking connect; returns the fd, or -1 with *error set.
-int ConnectLoopback(const std::string& addr, std::string* error);
+// Parses "[HOST:]PORT": PORT alone means 127.0.0.1:PORT, HOST must be a
+// numeric IPv4 address, PORT all digits in 0..65535. Anything else is false
+// with *error set.
+bool ParseNetAddress(const std::string& text, NetAddress* out,
+                     std::string* error);
+
+// Listens on `addr` (port 0 = kernel-assigned; *bound_port receives the
+// actual port). Returns the listening fd, or -1 with *error set.
+int ListenTcp(const NetAddress& addr, uint16_t* bound_port, std::string* error);
+
+// Blocking connect to `addr` (port must be nonzero). Returns the fd, or -1
+// with *error set.
+int ConnectTcp(const NetAddress& addr, std::string* error);
 
 // Writes one complete frame, polling through partial writes and EAGAIN.
 // False on a dead peer (EPIPE/ECONNRESET — never raises SIGPIPE).

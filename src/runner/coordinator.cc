@@ -1,49 +1,17 @@
 #include "src/runner/coordinator.h"
 
 #include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <set>
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
-#include <time.h>
 #include <unistd.h>
 
-#include "src/common/json.h"
-#include "src/common/json_parse.h"
 #include "src/common/netio.h"
 #include "src/runner/job_codec.h"
 
 namespace memtis {
-namespace {
-
-constexpr int kPollTickMs = 50;
-constexpr int kFileScanSleepMs = 40;
-
-bool PathExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-bool AppendLine(const std::string& path, const std::string& line) {
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) {
-    return false;
-  }
-  std::fwrite(line.data(), 1, line.size(), f);
-  std::fputc('\n', f);
-  std::fflush(f);
-  std::fclose(f);
-  return true;
-}
-
-}  // namespace
 
 Campaign::Campaign(const std::vector<JobSpec>& jobs,
                    const CampaignOptions& options,
@@ -123,25 +91,6 @@ std::optional<WorkItem> Campaign::NextIssue(uint64_t now_ms) {
   return std::nullopt;
 }
 
-bool Campaign::ObserveClaim(size_t index, int attempt, uint64_t issue,
-                            uint64_t now_ms) {
-  CheckCancelled();
-  if (index >= states_.size()) {
-    ++stats_.stale_claims;
-    return false;
-  }
-  CellState& st = states_[index];
-  if (!Issuable(st) || attempt != st.attempt || issue != st.issue) {
-    ++stats_.stale_claims;
-    return false;
-  }
-  st.phase = CellPhase::kIssued;
-  st.deadline_ms = now_ms + options_.lease_timeout_ms;
-  ++issued_count_;
-  ++stats_.issues;
-  return true;
-}
-
 bool Campaign::Renew(size_t index, int attempt, uint64_t issue,
                      uint64_t now_ms) {
   if (index >= states_.size()) {
@@ -201,12 +150,10 @@ void Campaign::OnLeaseLost(size_t index, uint64_t issue) {
     return;
   }
   CellState& st = states_[index];
-  if (st.phase == CellPhase::kDone || st.issue != issue) {
-    return;  // a newer lease superseded this one already
+  if (st.phase != CellPhase::kIssued || st.issue != issue) {
+    return;  // decided, or a newer lease superseded this one already
   }
-  if (st.phase == CellPhase::kIssued) {
-    --issued_count_;
-  }
+  --issued_count_;
   st.phase = CellPhase::kPending;
   ++st.issue;  // the dead tuple can never be claimed again
   ++st.reissues;
@@ -297,14 +244,15 @@ void Campaign::Report(size_t index) {
 }
 
 // ---------------------------------------------------------------------------
-// Socket serve loop.
+// Serve loop.
 
 namespace {
+
+constexpr int kPollTickMs = 50;
 
 struct Conn {
   int fd = -1;
   FrameDecoder decoder;
-  std::string worker = "?";
   std::vector<std::pair<size_t, uint64_t>> leases;  // (index, issue)
   bool dead = false;
 };
@@ -332,9 +280,6 @@ void HandleFrame(Conn* conn, const std::string& frame, Campaign* campaign) {
   bool sent = true;
   switch (req.kind) {
     case WorkerRequest::Kind::kClaim: {
-      if (!req.worker.empty()) {
-        conn->worker = req.worker;
-      }
       if (std::optional<WorkItem> item = campaign->NextIssue(now)) {
         conn->leases.emplace_back(item->index, item->issue);
         sent = SendFrame(conn->fd, EncodeCellReply(*item));
@@ -383,12 +328,12 @@ void DropConn(Conn* conn, Campaign* campaign) {
 
 std::vector<CellOutcome> ServeSocketCampaign(
     const std::vector<JobSpec>& jobs, const CampaignOptions& options,
-    uint16_t port, const std::function<void(uint16_t)>& on_listening,
+    const NetAddress& listen, const std::function<void(uint16_t)>& on_listening,
     const std::map<std::string, ManifestEntry>& preloaded,
     const ProgressFn& progress, CampaignStats* stats, std::string* error,
     std::string* manifest_error) {
   uint16_t bound = 0;
-  const int lfd = ListenLoopback(port, &bound, error);
+  const int lfd = ListenTcp(listen, &bound, error);
   if (lfd < 0) {
     return {};
   }
@@ -472,253 +417,6 @@ std::vector<CellOutcome> ServeSocketCampaign(
     DropConn(conn.get(), &campaign);
   }
   close(lfd);
-  if (stats != nullptr) {
-    *stats = campaign.stats();
-  }
-  return campaign.Finish();
-}
-
-// ---------------------------------------------------------------------------
-// File serve loop.
-
-namespace {
-
-std::string WorkItemLine(const WorkItem& item) {
-  std::string line;
-  JsonWriter w(&line, 0);
-  w.BeginObject();
-  WriteWorkItemFields(w, item);
-  w.EndObject();
-  return line;
-}
-
-std::string TupleKey(size_t index, int attempt, uint64_t issue) {
-  return std::to_string(index) + "-" + std::to_string(attempt) + "-" +
-         std::to_string(issue);
-}
-
-int64_t FileAgeMs(const struct stat& st) {
-  timespec now;
-  clock_gettime(CLOCK_REALTIME, &now);
-  return (static_cast<int64_t>(now.tv_sec) -
-          static_cast<int64_t>(st.st_mtim.tv_sec)) *
-             1000 +
-         (static_cast<int64_t>(now.tv_nsec) -
-          static_cast<int64_t>(st.st_mtim.tv_nsec)) /
-             1'000'000;
-}
-
-// Re-reads every results-*.jsonl (tolerant of torn tails) and feeds unseen
-// entries into the campaign. `applied` dedupes across scans so stats stay
-// meaningful; re-applying would be harmless (stale results are ignored).
-void ScanResultsFiles(const std::string& dir,
-                      const std::map<std::string, std::vector<size_t>>& by_fp,
-                      std::set<std::string>* applied, Campaign* campaign) {
-  DIR* d = opendir(dir.c_str());
-  if (d == nullptr) {
-    return;
-  }
-  while (dirent* entry = readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name.rfind("results-", 0) != 0 ||
-        name.size() < 6 + 8 ||  // "results-" ... ".jsonl"
-        name.compare(name.size() - 6, 6, ".jsonl") != 0) {
-      continue;
-    }
-    std::map<std::string, ManifestEntry> entries;
-    if (!LoadManifest(dir + "/" + name, &entries, nullptr, nullptr)) {
-      continue;
-    }
-    for (auto& [fp, manifest_entry] : entries) {
-      if (manifest_entry.attempts < 1) {
-        continue;
-      }
-      const std::string key = name + "|" + fp + "|" +
-                              std::to_string(manifest_entry.attempts) +
-                              (manifest_entry.ok ? "+" : "-");
-      if (!applied->insert(key).second) {
-        continue;
-      }
-      const auto it = by_fp.find(fp);
-      if (it == by_fp.end()) {
-        continue;  // foreign fingerprint (stale dir reuse) — ignore
-      }
-      SupervisedOutcome outcome;
-      outcome.ok = manifest_entry.ok;
-      outcome.attempts = manifest_entry.attempts;
-      outcome.result = std::move(manifest_entry.result);
-      outcome.failure = std::move(manifest_entry.failure);
-      for (const size_t index : it->second) {
-        campaign->OnOutcome(index, manifest_entry.attempts - 1, outcome);
-      }
-    }
-  }
-  closedir(d);
-}
-
-}  // namespace
-
-std::vector<CellOutcome> ServeFileCampaign(
-    const std::vector<JobSpec>& jobs, const std::string& dir,
-    const CampaignOptions& options,
-    const std::map<std::string, ManifestEntry>& preloaded,
-    const ProgressFn& progress, CampaignStats* stats, std::string* error,
-    std::string* manifest_error) {
-  if (mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    if (error != nullptr) {
-      *error = "cannot create work-queue directory " + dir + ": " +
-               std::strerror(errno);
-    }
-    return {};
-  }
-  // A stale DONE from a previous campaign in a reused directory would make
-  // workers exit before this one starts.
-  unlink(DoneFilePath(dir).c_str());
-
-  Campaign campaign(jobs, options, preloaded, progress, manifest_error);
-
-  // Publish the cell list atomically: workers never see a partial file.
-  {
-    const std::string tmp = CellsFilePath(dir) + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr) {
-      if (error != nullptr) {
-        *error = "cannot write " + tmp + ": " + std::strerror(errno);
-      }
-      return {};
-    }
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      WorkItem item;
-      item.index = i;
-      item.job_timeout_ms = options.job_timeout_ms;
-      item.checkpoint_ns = options.checkpoint_ns;
-      item.fingerprint = campaign.fingerprint(i);
-      item.spec = jobs[i];
-      const std::string line = WorkItemLine(item);
-      std::fwrite(line.data(), 1, line.size(), f);
-      std::fputc('\n', f);
-    }
-    std::fflush(f);
-    std::fclose(f);
-    if (rename(tmp.c_str(), CellsFilePath(dir).c_str()) != 0) {
-      if (error != nullptr) {
-        *error = "cannot publish " + CellsFilePath(dir) + ": " +
-                 std::strerror(errno);
-      }
-      return {};
-    }
-  }
-
-  std::map<std::string, std::vector<size_t>> by_fp;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    by_fp[campaign.fingerprint(i)].push_back(i);
-  }
-
-  // Restart recovery: tuples already published and cells already resolved by
-  // a previous incarnation must not be re-appended.
-  std::set<std::string> published;
-  {
-    std::ifstream in(ReissueFilePath(dir));
-    std::string line;
-    while (in.is_open() && std::getline(in, line)) {
-      JsonValue doc;
-      if (JsonValue::Parse(line, &doc, nullptr) && doc.is_object() &&
-          doc.Find("index") != nullptr) {
-        published.insert(TupleKey(static_cast<size_t>(doc.GetUint("index")),
-                                  static_cast<int>(doc.GetInt("attempt")),
-                                  doc.GetUint("issue")));
-      }
-    }
-  }
-  std::set<size_t> resolved_emitted;
-  {
-    std::ifstream in(ResolvedFilePath(dir));
-    std::string line;
-    while (in.is_open() && std::getline(in, line)) {
-      JsonValue doc;
-      if (JsonValue::Parse(line, &doc, nullptr) && doc.is_object() &&
-          doc.Find("index") != nullptr) {
-        resolved_emitted.insert(static_cast<size_t>(doc.GetUint("index")));
-      }
-    }
-  }
-
-  std::set<std::string> applied_results;
-  const auto emit_resolved = [&] {
-    for (size_t i = 0; i < campaign.size(); ++i) {
-      if (campaign.phase(i) == Campaign::CellPhase::kDone &&
-          resolved_emitted.insert(i).second) {
-        std::string line;
-        JsonWriter w(&line, 0);
-        w.BeginObject();
-        w.Field("index", static_cast<uint64_t>(i));
-        w.EndObject();
-        AppendLine(ResolvedFilePath(dir), line);
-      }
-    }
-  };
-
-  while (!campaign.Finished()) {
-    ScanResultsFiles(dir, by_fp, &applied_results, &campaign);
-    const uint64_t now = MonotonicMs();
-    for (size_t i = 0; i < campaign.size(); ++i) {
-      const int attempt = campaign.open_attempt(i);
-      const uint64_t issue = campaign.open_issue(i);
-      const std::string claim = ClaimFilePath(dir, i, attempt, issue);
-      switch (campaign.phase(i)) {
-        case Campaign::CellPhase::kPending: {
-          if (PathExists(claim + ".expired")) {
-            // A previous incarnation revoked this tuple; advance past it.
-            campaign.OnLeaseLost(i, issue);
-            break;
-          }
-          if (PathExists(claim)) {
-            campaign.ObserveClaim(i, attempt, issue, now);
-            break;
-          }
-          if ((attempt > 0 || issue > 0) &&
-              published.insert(TupleKey(i, attempt, issue)).second) {
-            std::string line;
-            JsonWriter w(&line, 0);
-            w.BeginObject();
-            w.Field("index", static_cast<uint64_t>(i));
-            w.Field("attempt", attempt);
-            w.Field("issue", issue);
-            w.EndObject();
-            AppendLine(ReissueFilePath(dir), line);
-          }
-          break;
-        }
-        case Campaign::CellPhase::kIssued: {
-          struct stat st;
-          if (::stat(claim.c_str(), &st) != 0) {
-            campaign.OnLeaseLost(i, issue);  // claim vanished with its worker
-            break;
-          }
-          if (FileAgeMs(st) >
-              static_cast<int64_t>(options.lease_timeout_ms)) {
-            // Revoke-then-reissue: the rename makes the dead tuple
-            // unclaimable before the replacement tuple is published.
-            rename(claim.c_str(), (claim + ".expired").c_str());
-            campaign.OnLeaseLost(i, issue);
-          }
-          break;
-        }
-        case Campaign::CellPhase::kDone:
-          break;
-      }
-    }
-    emit_resolved();
-    if (campaign.Finished()) {
-      break;
-    }
-    SleepMs(kFileScanSleepMs);
-  }
-
-  emit_resolved();
-  if (std::FILE* f = std::fopen(DoneFilePath(dir).c_str(), "w")) {
-    std::fclose(f);
-  }
   if (stats != nullptr) {
     *stats = campaign.stats();
   }

@@ -1,5 +1,5 @@
 // Coordinator side of distributed campaign execution: the Campaign lease /
-// retry state machine, plus the two serve loops behind `memtis_run --serve`.
+// retry state machine, plus the serve loop behind `memtis_run --serve`.
 //
 // The lease/claim contract (see DESIGN.md "Distributed campaigns"):
 //
@@ -20,12 +20,12 @@
 //    workers racing the same attempt after an expiry) are ignored, which is
 //    sound because equal (spec, attempt) means equal bytes.
 //  - Decided cells append to the --resume manifest exactly as the local
-//    RunJobsResilient does, so coordinator death is recoverable with the
-//    same manifest (socket backend) or from the per-worker results files
-//    already in the queue directory (file backend).
+//    RunJobsResilient does, so coordinator death is recoverable: rerun the
+//    same command on the same manifest, with freshly started workers (a
+//    worker exits when its coordinator's connection closes).
 //
-// Campaign is single-threaded on purpose: both serve loops are poll/scan
-// loops that own it exclusively.
+// Campaign is single-threaded on purpose: the serve loop is a poll loop that
+// owns it exclusively.
 
 #ifndef MEMTIS_SIM_SRC_RUNNER_COORDINATOR_H_
 #define MEMTIS_SIM_SRC_RUNNER_COORDINATOR_H_
@@ -60,30 +60,20 @@ struct CampaignOptions {
 
 struct CampaignStats {
   uint64_t issues = 0;            // leases handed out (incl. retries/reissues)
-  uint64_t leases_lost = 0;       // EOF / expired heartbeat / vanished claim
+  uint64_t leases_lost = 0;       // connection EOF / expired heartbeat
   uint64_t retries = 0;           // failure-driven re-issues at attempt + 1
   uint64_t stale_results = 0;     // results ignored (decided cell or old attempt)
-  uint64_t stale_claims = 0;      // file backend: claims of superseded tuples
 };
 
 class Campaign {
  public:
-  enum class CellPhase { kPending, kIssued, kDone };
-
   Campaign(const std::vector<JobSpec>& jobs, const CampaignOptions& options,
            const std::map<std::string, ManifestEntry>& preloaded,
            const ProgressFn& progress, std::string* manifest_error);
 
-  // Socket backend: hands out the lowest-index issuable cell and arms its
-  // lease deadline. nullopt when nothing is currently issuable.
+  // Hands out the lowest-index issuable cell and arms its lease deadline.
+  // nullopt when nothing is currently issuable.
   std::optional<WorkItem> NextIssue(uint64_t now_ms);
-
-  // File backend: the open (attempt, issue) tuple of a pending cell, and the
-  // transition when a claim file for exactly that tuple appears.
-  CellPhase phase(size_t index) const { return states_[index].phase; }
-  int open_attempt(size_t index) const { return states_[index].attempt; }
-  uint64_t open_issue(size_t index) const { return states_[index].issue; }
-  bool ObserveClaim(size_t index, int attempt, uint64_t issue, uint64_t now_ms);
 
   // Heartbeat for an issued lease; false = revoked/stale.
   bool Renew(size_t index, int attempt, uint64_t issue, uint64_t now_ms);
@@ -93,11 +83,10 @@ class Campaign {
 
   // The lease carrying `issue` is gone. Re-opens the cell under a fresh
   // issue id (same attempt), or decides kLeaseExpired past max_reissues.
-  // Also valid for a kPending cell whose open tuple was revoked on disk
-  // (file-backend coordinator restart).
+  // A no-op unless that lease is the cell's live one.
   void OnLeaseLost(size_t index, uint64_t issue);
 
-  // Expires leases whose deadline passed (socket backend tick).
+  // Expires leases whose deadline passed (serve-loop tick).
   void ExpireStale(uint64_t now_ms);
 
   // True once every cell is decided — or the campaign is cancelled and no
@@ -109,20 +98,17 @@ class Campaign {
   // Call exactly once, after Finished().
   std::vector<CellOutcome> Finish();
 
-  size_t size() const { return states_.size(); }
-  size_t decided() const { return decided_; }
   const CampaignStats& stats() const { return stats_; }
-  const std::string& fingerprint(size_t index) const {
-    return fingerprints_[index];
-  }
 
  private:
+  enum class CellPhase { kPending, kIssued, kDone };
+
   struct CellState {
     CellPhase phase = CellPhase::kPending;
     int attempt = 0;       // next (kPending) or running (kIssued) global attempt
     int reissues = 0;      // lease losses so far
     uint64_t issue = 0;    // current/open issue id, strictly increasing
-    uint64_t deadline_ms = 0;  // lease deadline while kIssued (socket backend)
+    uint64_t deadline_ms = 0;  // lease deadline while kIssued
   };
 
   void CheckCancelled();
@@ -146,25 +132,13 @@ class Campaign {
   bool finished_called_ = false;
 };
 
-// Runs a campaign to completion over loopback TCP on 127.0.0.1 (`port` 0 =
+// Runs a campaign to completion, serving workers on `listen` (port 0 =
 // kernel-assigned). `on_listening` fires with the bound port once the socket
 // accepts — tests launch workers from it, memtis_run writes --port-file.
 // On a transport failure returns an empty vector with *error set.
 std::vector<CellOutcome> ServeSocketCampaign(
     const std::vector<JobSpec>& jobs, const CampaignOptions& options,
-    uint16_t port, const std::function<void(uint16_t)>& on_listening,
-    const std::map<std::string, ManifestEntry>& preloaded = {},
-    const ProgressFn& progress = nullptr, CampaignStats* stats = nullptr,
-    std::string* error = nullptr, std::string* manifest_error = nullptr);
-
-// Runs a campaign to completion over a claim-file queue rooted at `dir`
-// (created if missing; a stale DONE marker is removed). Restart-safe: an
-// existing queue directory's results files preload decided cells and its
-// claim files resume in-flight leases, so SIGKILLing the coordinator and
-// rerunning the same command reaches the same bytes.
-std::vector<CellOutcome> ServeFileCampaign(
-    const std::vector<JobSpec>& jobs, const std::string& dir,
-    const CampaignOptions& options,
+    const NetAddress& listen, const std::function<void(uint16_t)>& on_listening,
     const std::map<std::string, ManifestEntry>& preloaded = {},
     const ProgressFn& progress = nullptr, CampaignStats* stats = nullptr,
     std::string* error = nullptr, std::string* manifest_error = nullptr);

@@ -12,13 +12,17 @@
 //   memtis_run --smoke        # tiny sweep used as a ctest smoke case
 
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +30,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "src/common/netio.h"
 #include "src/fault/fault.h"
 #include "src/memtis/policy_registry.h"
 #include "src/runner/coordinator.h"
@@ -53,8 +58,8 @@ struct CliOptions {
   std::string out;              // empty or "-" -> stdout
   std::string audit_out;        // --audit-json sink (empty = none)
   std::string colocate;         // --colocate tenant spec (empty = sweep mode)
-  std::string serve;            // --serve PORT or queue dir (empty = local)
-  std::string worker;           // --worker coordinator addr or queue dir
+  std::optional<NetAddress> serve;   // --serve listen address (unset = local)
+  std::optional<NetAddress> worker;  // --worker coordinator address
   std::string worker_name;      // --worker-name (default: w<pid>)
   std::string port_file;        // --port-file target for --serve=0
   uint64_t lease_timeout_ms = 10'000;
@@ -70,26 +75,38 @@ struct CliOptions {
 // outcome-aware schema_version 4 sinks.
 bool ResilientMode(const CliOptions& cli) {
   return NeedsSupervision(cli.exec) || !cli.exec.manifest_path.empty() ||
-         cli.exec.keep_going || !cli.serve.empty();
+         cli.exec.keep_going || cli.serve.has_value();
 }
 
-// "PORT" (all digits, <= 65535) selects the socket backend; anything else is
-// a claim-file queue directory.
-bool ParsePortSpec(const std::string& text, uint16_t* port) {
-  if (text.empty() || text.size() > 5) {
+// Every numeric flag value goes through one of these two strict parsers, so
+// a typo is a usage error instead of a silently different sweep. Unsigned:
+// decimal digits only (no sign, no whitespace, no trailing text), and the
+// value must fit T. Floating point: the whole text must be one finite
+// number.
+template <typename T>
+bool ParseUnsigned(const std::string& text, T* out) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      value > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
     return false;
   }
-  unsigned long value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<unsigned long>(c - '0');
-  }
-  if (value > 65535) {
+  *out = static_cast<T>(value);
+  return true;
+}
+
+bool ParseDouble(const std::string& text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
     return false;
   }
-  *port = static_cast<uint16_t>(value);
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || errno == ERANGE || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
   return true;
 }
 
@@ -150,27 +167,27 @@ void PrintUsage(std::FILE* to = stdout) {
       "                         SIGKILL-class death resumes the same attempt\n"
       "                         from the newest valid snapshot, byte-identical\n"
       "                         to an uninterrupted run\n"
-      "  --checkpoint-dir=DIR   where snapshots live (default memtis-ckpt;\n"
-      "                         workers on a file queue default to the queue\n"
-      "                         directory, so any worker can resume any lease)\n"
+      "  --checkpoint-dir=DIR   where snapshots live (default memtis-ckpt; on\n"
+      "                         shared storage, any worker resumes any lease)\n"
       "  --engine-seed=N        engine RNG seed for every cell (default 42)\n"
       "  --list-cells           print each cell's fingerprint and canonical\n"
       "                         spec, then exit (for MEMTIS_CRASH_CELL etc.)\n"
       "\n"
       "Distributed campaigns (see README \"Distributed campaigns\"):\n"
-      "  --serve=PORT|DIR       coordinate the sweep for remote workers:\n"
-      "                         loopback TCP on PORT (0 = kernel-assigned,\n"
-      "                         see --port-file), or a claim-file queue in\n"
-      "                         DIR (safe on a shared filesystem). The merged\n"
-      "                         output is byte-identical to a single-host\n"
-      "                         supervised run; combine with --resume for a\n"
-      "                         restartable coordinator.\n"
-      "  --worker=ADDR|DIR      run cells for a coordinator at [HOST:]PORT\n"
-      "                         (numeric IPv4, loopback by default) or for a\n"
-      "                         claim-file queue in DIR; exits once the\n"
-      "                         campaign is decided\n"
-      "  --worker-name=NAME     stable worker name for logs and per-worker\n"
-      "                         results files (default: w<pid>)\n"
+      "  --serve=[ADDR:]PORT    coordinate the sweep for remote workers over\n"
+      "                         TCP on numeric IPv4 ADDR (default 127.0.0.1;\n"
+      "                         the protocol is unauthenticated, so bind other\n"
+      "                         addresses on trusted networks only) and PORT\n"
+      "                         (0 = kernel-assigned, see --port-file). The\n"
+      "                         merged output is byte-identical to a\n"
+      "                         single-host supervised run; with --resume a\n"
+      "                         killed coordinator restarts on fresh workers.\n"
+      "  --worker=[HOST:]PORT   run cells for the coordinator at HOST\n"
+      "                         (numeric IPv4, default 127.0.0.1); exits once\n"
+      "                         the campaign is decided or the coordinator\n"
+      "                         hangs up\n"
+      "  --worker-name=NAME     worker name for logs and claim frames\n"
+      "                         (default: w<pid>)\n"
       "  --lease-timeout-ms=N   re-issue a cell when its worker's lease goes\n"
       "                         this long without a heartbeat (default 10000)\n"
       "  --port-file=FILE       with --serve: write the bound port to FILE\n"
@@ -227,16 +244,16 @@ std::vector<std::string> SplitList(const std::string& csv) {
 bool ParseRatio(const std::string& text, double* out) {
   const size_t colon = text.find(':');
   if (colon != std::string::npos) {
-    const double a = std::atof(text.substr(0, colon).c_str());
-    const double b = std::atof(text.substr(colon + 1).c_str());
-    if (a <= 0.0 || b < 0.0) {
+    double a = 0.0;
+    double b = 0.0;
+    if (!ParseDouble(text.substr(0, colon), &a) ||
+        !ParseDouble(text.substr(colon + 1), &b) || a <= 0.0 || b < 0.0) {
       return false;
     }
     *out = a / (a + b);
     return true;
   }
-  *out = std::atof(text.c_str());
-  return *out > 0.0 && *out <= 1.0;
+  return ParseDouble(text, out) && *out > 0.0 && *out <= 1.0;
 }
 
 bool Contains(const std::vector<std::string>& names, const std::string& name) {
@@ -312,33 +329,26 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return !cli->sweep.machines.empty();
   }
   if (key == "seeds") {
-    cli->sweep.seeds = std::atoi(value.c_str());
-    return cli->sweep.seeds >= 1;
+    return ParseUnsigned(value, &cli->sweep.seeds) && cli->sweep.seeds >= 1;
   }
   if (key == "base-seed") {
-    cli->sweep.base_seed = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseUnsigned(value, &cli->sweep.base_seed);
   }
   if (key == "accesses") {
-    cli->sweep.accesses = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseUnsigned(value, &cli->sweep.accesses);
   }
   if (key == "footprint-scale") {
-    cli->sweep.footprint_scale = std::atof(value.c_str());
-    return cli->sweep.footprint_scale > 0.0;
+    return ParseDouble(value, &cli->sweep.footprint_scale) &&
+           cli->sweep.footprint_scale > 0.0;
   }
   if (key == "fast-bytes") {
-    cli->sweep.fast_bytes_override = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseUnsigned(value, &cli->sweep.fast_bytes_override);
   }
   if (key == "snapshot-ns") {
-    cli->sweep.snapshot_interval_ns = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseUnsigned(value, &cli->sweep.snapshot_interval_ns);
   }
   if (key == "shards") {
-    cli->sweep.shards =
-        static_cast<uint32_t>(std::strtoull(value.c_str(), nullptr, 10));
-    return cli->sweep.shards >= 1;
+    return ParseUnsigned(value, &cli->sweep.shards) && cli->sweep.shards >= 1;
   }
   if (key == "no-contention") {
     cli->sweep.cpu_contention = false;
@@ -349,16 +359,14 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return true;
   }
   if (key == "threads") {
-    cli->threads = std::atoi(value.c_str());
-    return cli->threads >= 0;
+    return ParseUnsigned(value, &cli->threads);
   }
   if (key == "format") {
     cli->format = value;
     return value == "json" || value == "csv";
   }
   if (key == "indent") {
-    cli->sink.indent = std::atoi(value.c_str());
-    return cli->sink.indent >= 0;
+    return ParseUnsigned(value, &cli->sink.indent);
   }
   if (key == "timelines") {
     cli->sink.timelines = true;
@@ -385,8 +393,7 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return true;
   }
   if (key == "audit-epoch-ns") {
-    cli->sweep.audit_epoch_interval_ns = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseUnsigned(value, &cli->sweep.audit_epoch_interval_ns);
   }
   if (key == "colocate") {
     ColocateSpec spec;
@@ -413,13 +420,14 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return true;
   }
   if (key == "job-timeout-ms") {
-    cli->exec.job_timeout_ms = std::strtoull(value.c_str(), nullptr, 10);
     cli->exec.supervise = true;
-    return cli->exec.job_timeout_ms > 0;
+    return ParseUnsigned(value, &cli->exec.job_timeout_ms) &&
+           cli->exec.job_timeout_ms > 0;
   }
   if (key == "retries") {
-    const int retries = std::atoi(value.c_str());
-    if (retries < 0) {
+    int retries = 0;
+    if (!ParseUnsigned(value, &retries) ||
+        retries == std::numeric_limits<int>::max()) {
       return false;
     }
     cli->exec.max_attempts = retries + 1;
@@ -427,8 +435,7 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return true;
   }
   if (key == "backoff-ms") {
-    cli->exec.backoff_base_ms = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseUnsigned(value, &cli->exec.backoff_base_ms);
   }
   if (key == "resume") {
     cli->exec.manifest_path = value;
@@ -439,41 +446,43 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return true;
   }
   if (key == "checkpoint-ns") {
-    cli->exec.checkpoint_ns = std::strtoull(value.c_str(), nullptr, 10);
     cli->exec.supervise = true;
-    return cli->exec.checkpoint_ns > 0;
+    return ParseUnsigned(value, &cli->exec.checkpoint_ns) &&
+           cli->exec.checkpoint_ns > 0;
   }
   if (key == "checkpoint-dir") {
     cli->exec.checkpoint_dir = value;
     return !value.empty();
   }
   if (key == "result-batch") {
-    cli->result_batch = std::atoi(value.c_str());
-    return cli->result_batch >= 1;
+    return ParseUnsigned(value, &cli->result_batch) && cli->result_batch >= 1;
   }
   if (key == "engine-seed") {
-    cli->sweep.engine_seed = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseUnsigned(value, &cli->sweep.engine_seed);
   }
   if (key == "list-cells") {
     cli->list_cells = true;
     return true;
   }
-  if (key == "serve") {
-    cli->serve = value;
-    return !value.empty();
-  }
-  if (key == "worker") {
-    cli->worker = value;
-    return !value.empty();
+  if (key == "serve" || key == "worker") {
+    NetAddress addr;
+    std::string error;
+    if (!ParseNetAddress(value, &addr, &error) ||
+        (key == "worker" && addr.port == 0)) {
+      std::fprintf(stderr, "memtis_run: bad --%s: %s\n", key.c_str(),
+                   error.empty() ? "port 0" : error.c_str());
+      return false;
+    }
+    (key == "serve" ? cli->serve : cli->worker) = addr;
+    return true;
   }
   if (key == "worker-name") {
     cli->worker_name = value;
     return !value.empty();
   }
   if (key == "lease-timeout-ms") {
-    cli->lease_timeout_ms = std::strtoull(value.c_str(), nullptr, 10);
-    return cli->lease_timeout_ms > 0;
+    return ParseUnsigned(value, &cli->lease_timeout_ms) &&
+           cli->lease_timeout_ms > 0;
   }
   if (key == "port-file") {
     cli->port_file = value;
@@ -549,30 +558,19 @@ int WorkerMain(const CliOptions& cli) {
     options.kill_hard = true;
   }
 
-  uint16_t port = 0;
+  // Coordinator may still be starting: retry the connect for a while.
   std::string error;
-  std::unique_ptr<WorkQueue> queue;
-  const bool socket_backend = ParsePortSpec(cli.worker, &port) ||
-                              cli.worker.find(':') != std::string::npos;
-  if (socket_backend) {
-    // Coordinator may still be starting: retry the connect for a while.
-    queue = MakeSocketWorkQueue(cli.worker, options.name, 15'000, &error);
-  } else {
-    // Give up only after the queue has been idle long enough for a crashed
-    // coordinator to have been restarted (--serve on the same directory).
-    queue = MakeFileWorkQueue(cli.worker, options.name, 120'000, &error);
-  }
+  const std::unique_ptr<WorkQueue> queue =
+      MakeSocketWorkQueue(*cli.worker, options.name, 15'000, &error);
   if (queue == nullptr) {
     std::fprintf(stderr, "memtis_run: %s\n", error.c_str());
     return 1;
   }
-  // Snapshots for checkpointed cells: next to the lease for the file backend
-  // (the queue directory is shared, so any worker resumes any re-issued
-  // lease), a local default for sockets unless --checkpoint-dir says where.
-  options.checkpoint_dir = cli.exec.checkpoint_dir;
-  if (options.checkpoint_dir.empty()) {
-    options.checkpoint_dir = socket_backend ? "memtis-ckpt" : cli.worker;
-  }
+  // Snapshots for checkpointed cells. Only a --checkpoint-dir on storage all
+  // workers share lets any worker resume any re-issued lease.
+  options.checkpoint_dir = cli.exec.checkpoint_dir.empty()
+                               ? "memtis-ckpt"
+                               : cli.exec.checkpoint_dir;
   // Graceful drain: SIGINT/SIGTERM lets the in-flight cell finish and report
   // before the worker exits 130 (supervised children ignore SIGINT, so the
   // terminal's process-group delivery cannot kill a cell mid-run).
@@ -587,7 +585,7 @@ int WorkerMain(const CliOptions& cli) {
   if (!cli.quiet) {
     const char* what = rc == 0   ? "campaign decided"
                        : rc == 3 ? "drained (interrupted)"
-                                 : "gave up (queue unreachable)";
+                                 : "gave up (coordinator refused)";
     std::fprintf(stderr, "memtis_run: worker %s: %s\n", options.name.c_str(),
                  what);
   }
@@ -673,14 +671,14 @@ int Main(int argc, char** argv) {
     PrintUsage(stderr);
     return 2;
   }
-  if ((!cli.serve.empty() && !cli.worker.empty()) ||
-      (!cli.colocate.empty() && (!cli.serve.empty() || !cli.worker.empty()))) {
+  if ((cli.serve && cli.worker) ||
+      (!cli.colocate.empty() && (cli.serve || cli.worker))) {
     std::fprintf(stderr,
                  "memtis_run: --serve, --worker, and --colocate are mutually "
                  "exclusive\n");
     return 2;
   }
-  if (!cli.worker.empty()) {
+  if (cli.worker) {
     return WorkerMain(cli);
   }
   if (cli.smoke) {
@@ -782,7 +780,7 @@ int Main(int argc, char** argv) {
 
   std::string manifest_error;
   std::vector<CellOutcome> outcomes;
-  if (!cli.serve.empty()) {
+  if (cli.serve) {
     CampaignOptions campaign;
     campaign.max_attempts = cli.exec.max_attempts;
     campaign.lease_timeout_ms = cli.lease_timeout_ms;
@@ -794,38 +792,26 @@ int Main(int argc, char** argv) {
 
     CampaignStats stats;
     std::string serve_error;
-    uint16_t port = 0;
-    if (ParsePortSpec(cli.serve, &port)) {
-      const size_t cell_count = jobs.size();
-      const auto on_listening = [&cli, cell_count](uint16_t bound) {
-        if (!cli.port_file.empty()) {
-          // Atomic (temp + rename): a reader polling for the file never sees
-          // it empty or half-written — it appears complete or not at all.
-          std::string write_error;
-          if (!WriteFileAtomic(cli.port_file, std::to_string(bound) + "\n",
-                               &write_error)) {
-            std::fprintf(stderr, "memtis_run: cannot write %s: %s\n",
-                         cli.port_file.c_str(), write_error.c_str());
-          }
+    const size_t cell_count = jobs.size();
+    const auto on_listening = [&cli, cell_count](uint16_t bound) {
+      if (!cli.port_file.empty()) {
+        // Atomic (temp + rename): a reader polling for the file never sees
+        // it empty or half-written — it appears complete or not at all.
+        std::string write_error;
+        if (!WriteFileAtomic(cli.port_file, std::to_string(bound) + "\n",
+                             &write_error)) {
+          std::fprintf(stderr, "memtis_run: cannot write %s: %s\n",
+                       cli.port_file.c_str(), write_error.c_str());
         }
-        if (!cli.quiet) {
-          std::fprintf(stderr,
-                       "memtis_run: coordinating %zu cells on 127.0.0.1:%u\n",
-                       cell_count, bound);
-        }
-      };
-      outcomes = ServeSocketCampaign(jobs, campaign, port, on_listening,
-                                     preloaded, progress, &stats, &serve_error,
-                                     &manifest_error);
-    } else {
-      if (!cli.quiet) {
-        std::fprintf(stderr, "memtis_run: coordinating %zu cells via queue %s\n",
-                     jobs.size(), cli.serve.c_str());
       }
-      outcomes = ServeFileCampaign(jobs, cli.serve, campaign, preloaded,
-                                   progress, &stats, &serve_error,
+      if (!cli.quiet) {
+        std::fprintf(stderr, "memtis_run: coordinating %zu cells on %s:%u\n",
+                     cell_count, cli.serve->host.c_str(), bound);
+      }
+    };
+    outcomes = ServeSocketCampaign(jobs, campaign, *cli.serve, on_listening,
+                                   preloaded, progress, &stats, &serve_error,
                                    &manifest_error);
-    }
     if (!serve_error.empty()) {
       std::fprintf(stderr, "memtis_run: %s\n", serve_error.c_str());
       return 1;

@@ -1,34 +1,16 @@
 #include "src/runner/work_queue.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <map>
-#include <mutex>
-#include <set>
-#include <vector>
-
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "src/common/json.h"
 #include "src/common/json_parse.h"
-#include "src/common/netio.h"
 #include "src/runner/job_codec.h"
-#include "src/runner/manifest.h"
 
 namespace memtis {
 namespace {
 
 constexpr int kClaimRetrySleepMs = 60;
 constexpr int kSocketReplyTimeoutMs = 30'000;
-
-bool PathExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
 
 void WriteOutcomeFields(JsonWriter& w, const SupervisedOutcome& outcome) {
   w.Field("ok", outcome.ok);
@@ -66,8 +48,10 @@ bool ReadOutcomeFields(const JsonValue& doc, SupervisedOutcome* out,
   return true;
 }
 
-}  // namespace
-
+// The {"index","attempt","issue","job_timeout_ms","checkpoint_ns",
+// "fingerprint","spec"} fields of a cell reply. ReadWorkItemFields is
+// tolerant of garbage (false, never aborts) and of a missing checkpoint_ns
+// (older coordinators; reads as 0).
 void WriteWorkItemFields(JsonWriter& w, const WorkItem& item) {
   w.Field("index", static_cast<uint64_t>(item.index));
   w.Field("attempt", item.attempt);
@@ -95,6 +79,8 @@ bool ReadWorkItemFields(const JsonValue& doc, WorkItem* out) {
   return spec != nullptr && ReadJobSpecJson(*spec, &out->spec) &&
          !out->fingerprint.empty();
 }
+
+}  // namespace
 
 bool ParseWorkerRequest(const std::string& frame, WorkerRequest* out,
                         std::string* error) {
@@ -259,305 +245,104 @@ std::string EncodeErrorReply(const std::string& message) {
   return out;
 }
 
-std::string CellsFilePath(const std::string& dir) { return dir + "/cells.jsonl"; }
-std::string ReissueFilePath(const std::string& dir) {
-  return dir + "/reissue.jsonl";
-}
-std::string ResolvedFilePath(const std::string& dir) {
-  return dir + "/resolved.jsonl";
-}
-std::string DoneFilePath(const std::string& dir) { return dir + "/DONE"; }
+WorkQueue::WorkQueue(int fd, std::string worker)
+    : fd_(fd), worker_(std::move(worker)) {}
 
-std::string ClaimFilePath(const std::string& dir, size_t index, int attempt,
-                          uint64_t issue) {
-  return dir + "/claim-" + std::to_string(index) + "-" +
-         std::to_string(attempt) + "-" + std::to_string(issue);
-}
-
-std::string WorkerResultsPath(const std::string& dir,
-                              const std::string& worker) {
-  return dir + "/results-" + SanitizeWorkerName(worker) + ".jsonl";
-}
-
-std::string SanitizeWorkerName(const std::string& name) {
-  std::string out = name.empty() ? "worker" : name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-';
-    if (!ok) {
-      c = '_';
-    }
+WorkQueue::~WorkQueue() {
+  if (fd_ >= 0) {
+    close(fd_);
   }
-  return out;
 }
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Socket backend (worker side). One connection, strict request/reply pairs;
-// a mutex serializes the main loop's claims/results with the renewal thread.
-
-class SocketWorkQueue : public WorkQueue {
- public:
-  SocketWorkQueue(int fd, std::string worker) : fd_(fd), worker_(std::move(worker)) {}
-  ~SocketWorkQueue() override {
-    if (fd_ >= 0) {
-      close(fd_);
+WorkQueue::ClaimStatus WorkQueue::Claim(WorkItem* item) {
+  for (;;) {
+    CoordinatorReply reply;
+    if (!RoundTrip(EncodeClaimRequest(worker_), &reply)) {
+      // EOF mid-campaign means the coordinator finished (it closes every
+      // connection once the campaign is decided) or died; either way this
+      // worker is done — a restarted coordinator re-issues whatever is
+      // missing to freshly started workers.
+      return ClaimStatus::kDone;
     }
-  }
-
-  ClaimStatus Claim(WorkItem* item) override {
-    for (;;) {
-      CoordinatorReply reply;
-      if (!RoundTrip(EncodeClaimRequest(worker_), &reply)) {
-        // EOF mid-campaign means the coordinator finished (it closes every
-        // connection once the campaign is decided) or died; either way this
-        // worker is done — a restarted coordinator re-issues whatever is
-        // missing to freshly started workers.
+    switch (reply.kind) {
+      case CoordinatorReply::Kind::kCell:
+        *item = reply.item;
+        return ClaimStatus::kClaimed;
+      case CoordinatorReply::Kind::kDone:
         return ClaimStatus::kDone;
-      }
-      switch (reply.kind) {
-        case CoordinatorReply::Kind::kCell:
-          *item = reply.item;
-          return ClaimStatus::kClaimed;
-        case CoordinatorReply::Kind::kDone:
-          return ClaimStatus::kDone;
-        case CoordinatorReply::Kind::kRetry:
-          SleepMs(kClaimRetrySleepMs);
-          continue;
-        case CoordinatorReply::Kind::kError:
-          return ClaimStatus::kLost;
-        default:
-          continue;  // unexpected but harmless; ask again
-      }
+      case CoordinatorReply::Kind::kRetry:
+        SleepMs(kClaimRetrySleepMs);
+        continue;
+      case CoordinatorReply::Kind::kError:
+        return ClaimStatus::kLost;
+      default:
+        continue;  // unexpected but harmless; ask again
     }
   }
+}
 
-  bool Renew(const WorkItem& item) override {
-    CoordinatorReply reply;
-    if (!RoundTrip(EncodeRenewRequest(item), &reply)) {
-      return false;
-    }
-    return reply.kind == CoordinatorReply::Kind::kOk;
+bool WorkQueue::Renew(const WorkItem& item) {
+  CoordinatorReply reply;
+  if (!RoundTrip(EncodeRenewRequest(item), &reply)) {
+    return false;
   }
+  return reply.kind == CoordinatorReply::Kind::kOk;
+}
 
-  bool Complete(const WorkItem& item, const SupervisedOutcome& outcome) override {
-    CoordinatorReply reply;
-    return RoundTrip(EncodeResultRequest(worker_, item, outcome), &reply);
+bool WorkQueue::Complete(const WorkItem& item, const SupervisedOutcome& outcome) {
+  CoordinatorReply reply;
+  return RoundTrip(EncodeResultRequest(worker_, item, outcome), &reply);
+}
+
+bool WorkQueue::CompleteBatch(
+    const std::vector<std::pair<WorkItem, SupervisedOutcome>>& batch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (dead_) {
+    return false;
   }
-
-  // Pipelines the whole batch: all result frames go out back-to-back, then
-  // the matching replies are drained. Same frames, same coordinator-side
-  // handling, one transport flush instead of N serialized round-trips.
-  bool CompleteBatch(const std::vector<std::pair<WorkItem, SupervisedOutcome>>&
-                         batch) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (dead_) {
-      return false;
-    }
-    for (const auto& [item, outcome] : batch) {
-      if (!SendFrame(fd_, EncodeResultRequest(worker_, item, outcome))) {
-        dead_ = true;
-        return false;
-      }
-    }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      std::string frame;
-      CoordinatorReply reply;
-      if (!RecvFrame(fd_, &decoder_, &frame, kSocketReplyTimeoutMs) ||
-          !ParseCoordinatorReply(frame, &reply, nullptr)) {
-        dead_ = true;
-        return false;
-      }
-    }
-    return true;
-  }
-
- private:
-  bool RoundTrip(const std::string& request, CoordinatorReply* reply) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (dead_) {
-      return false;
-    }
-    std::string frame;
-    if (!SendFrame(fd_, request) ||
-        !RecvFrame(fd_, &decoder_, &frame, kSocketReplyTimeoutMs) ||
-        !ParseCoordinatorReply(frame, reply, nullptr)) {
+  for (const auto& [item, outcome] : batch) {
+    if (!SendFrame(fd_, EncodeResultRequest(worker_, item, outcome))) {
       dead_ = true;
       return false;
     }
-    return true;
   }
-
-  int fd_;
-  std::string worker_;
-  std::mutex mu_;
-  FrameDecoder decoder_;
-  bool dead_ = false;
-};
-
-// ---------------------------------------------------------------------------
-// File backend (worker side).
-
-struct PublishedTuple {
-  int attempt = 0;
-  uint64_t issue = 0;
-};
-
-class FileWorkQueue : public WorkQueue {
- public:
-  FileWorkQueue(std::string dir, std::string worker, uint64_t give_up_idle_ms)
-      : dir_(std::move(dir)),
-        worker_(SanitizeWorkerName(worker)),
-        give_up_idle_ms_(give_up_idle_ms) {}
-
-  ClaimStatus Claim(WorkItem* item) override {
-    const uint64_t start = MonotonicMs();
-    for (;;) {
-      if (PathExists(DoneFilePath(dir_))) {
-        return ClaimStatus::kDone;
-      }
-      if (LoadCells() && TryClaim(item)) {
-        return ClaimStatus::kClaimed;
-      }
-      if (give_up_idle_ms_ > 0 && MonotonicMs() - start > give_up_idle_ms_) {
-        return ClaimStatus::kLost;
-      }
-      SleepMs(kClaimRetrySleepMs);
-    }
-  }
-
-  bool Renew(const WorkItem& item) override {
-    const std::string path =
-        ClaimFilePath(dir_, item.index, item.attempt, item.issue);
-    return utimensat(AT_FDCWD, path.c_str(), nullptr, 0) == 0;
-  }
-
-  bool Complete(const WorkItem& item, const SupervisedOutcome& outcome) override {
-    if (!writer_.is_open() &&
-        !writer_.Open(WorkerResultsPath(dir_, worker_), nullptr)) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    std::string frame;
+    CoordinatorReply reply;
+    if (!RecvFrame(fd_, &decoder_, &frame, kSocketReplyTimeoutMs) ||
+        !ParseCoordinatorReply(frame, &reply, nullptr)) {
+      dead_ = true;
       return false;
     }
-    writer_.Append(item.fingerprint, item.spec, outcome);
-    return true;
   }
+  return true;
+}
 
- private:
-  // cells.jsonl is written atomically (rename) and immutable afterwards:
-  // parse it once. False until the coordinator has published it.
-  bool LoadCells() {
-    if (!cells_.empty()) {
-      return true;
-    }
-    std::ifstream in(CellsFilePath(dir_));
-    if (!in.is_open()) {
-      return false;
-    }
-    std::vector<WorkItem> cells;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) {
-        continue;
-      }
-      JsonValue doc;
-      WorkItem cell;
-      if (JsonValue::Parse(line, &doc, nullptr) &&
-          ReadWorkItemFields(doc, &cell)) {
-        cells.push_back(std::move(cell));
-      }
-    }
-    cells_ = std::move(cells);
-    return !cells_.empty();
-  }
-
-  // One scan over the queue state: claim the lowest-index cell whose latest
-  // published tuple is unclaimed. O_EXCL arbitrates racing workers.
-  bool TryClaim(WorkItem* item) {
-    std::set<size_t> resolved;
-    {
-      std::ifstream in(ResolvedFilePath(dir_));
-      std::string line;
-      while (in.is_open() && std::getline(in, line)) {
-        JsonValue doc;
-        if (JsonValue::Parse(line, &doc, nullptr) && doc.is_object() &&
-            doc.Find("index") != nullptr) {
-          resolved.insert(static_cast<size_t>(doc.GetUint("index")));
-        }
-      }
-    }
-    // Latest published tuple per cell: the base (attempt 0, issue 0) from
-    // cells.jsonl, superseded by any higher reissue.jsonl line. A torn tail
-    // (coordinator killed mid-append) parses as garbage and is skipped; the
-    // complete line re-appears on the next scan.
-    std::map<size_t, PublishedTuple> latest;
-    {
-      std::ifstream in(ReissueFilePath(dir_));
-      std::string line;
-      while (in.is_open() && std::getline(in, line)) {
-        JsonValue doc;
-        if (!JsonValue::Parse(line, &doc, nullptr) || !doc.is_object() ||
-            doc.Find("index") == nullptr) {
-          continue;
-        }
-        const size_t index = static_cast<size_t>(doc.GetUint("index"));
-        PublishedTuple t;
-        t.attempt = static_cast<int>(doc.GetInt("attempt"));
-        t.issue = doc.GetUint("issue");
-        auto [it, inserted] = latest.emplace(index, t);
-        if (!inserted && (t.attempt > it->second.attempt ||
-                          (t.attempt == it->second.attempt &&
-                           t.issue > it->second.issue))) {
-          it->second = t;
-        }
-      }
-    }
-    for (const WorkItem& cell : cells_) {
-      if (resolved.count(cell.index) != 0) {
-        continue;
-      }
-      PublishedTuple t;  // base tuple: attempt 0, issue 0
-      if (const auto it = latest.find(cell.index); it != latest.end()) {
-        t = it->second;
-      }
-      const std::string path =
-          ClaimFilePath(dir_, cell.index, t.attempt, t.issue);
-      if (PathExists(path + ".expired") || PathExists(path)) {
-        continue;  // revoked tuple awaiting re-publication, or already held
-      }
-      const int fd = open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-      if (fd < 0) {
-        continue;  // lost the race (EEXIST) or unwritable — try the next cell
-      }
-      const ssize_t ignored = write(fd, worker_.data(), worker_.size());
-      (void)ignored;
-      close(fd);
-      *item = cell;
-      item->attempt = t.attempt;
-      item->issue = t.issue;
-      return true;
-    }
+bool WorkQueue::RoundTrip(const std::string& request, CoordinatorReply* reply) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (dead_) {
     return false;
   }
+  std::string frame;
+  if (!SendFrame(fd_, request) ||
+      !RecvFrame(fd_, &decoder_, &frame, kSocketReplyTimeoutMs) ||
+      !ParseCoordinatorReply(frame, reply, nullptr)) {
+    dead_ = true;
+    return false;
+  }
+  return true;
+}
 
-  std::string dir_;
-  std::string worker_;
-  uint64_t give_up_idle_ms_;
-  std::vector<WorkItem> cells_;
-  ManifestWriter writer_;
-};
-
-}  // namespace
-
-std::unique_ptr<WorkQueue> MakeSocketWorkQueue(const std::string& addr,
+std::unique_ptr<WorkQueue> MakeSocketWorkQueue(const NetAddress& addr,
                                                const std::string& worker_name,
                                                uint64_t connect_timeout_ms,
                                                std::string* error) {
   const uint64_t deadline = MonotonicMs() + connect_timeout_ms;
   std::string last_error;
   for (;;) {
-    const int fd = ConnectLoopback(addr, &last_error);
+    const int fd = ConnectTcp(addr, &last_error);
     if (fd >= 0) {
-      return std::make_unique<SocketWorkQueue>(
+      return std::make_unique<WorkQueue>(
           fd, worker_name.empty() ? "worker" : worker_name);
     }
     if (MonotonicMs() >= deadline) {
@@ -568,20 +353,6 @@ std::unique_ptr<WorkQueue> MakeSocketWorkQueue(const std::string& addr,
     }
     SleepMs(100);
   }
-}
-
-std::unique_ptr<WorkQueue> MakeFileWorkQueue(const std::string& dir,
-                                             const std::string& worker_name,
-                                             uint64_t give_up_after_idle_ms,
-                                             std::string* error) {
-  if (dir.empty()) {
-    if (error != nullptr) {
-      *error = "empty work-queue directory";
-    }
-    return nullptr;
-  }
-  return std::make_unique<FileWorkQueue>(dir, worker_name,
-                                         give_up_after_idle_ms);
 }
 
 }  // namespace memtis

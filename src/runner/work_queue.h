@@ -1,5 +1,5 @@
-// Worker-side view of a distributed campaign's cell queue, plus the wire and
-// on-disk formats both ends (and the fuzz tests) share.
+// Worker-side view of a distributed campaign's cell queue, plus the wire
+// format both ends (and the fuzz tests) share.
 //
 // A campaign cell is a pure function of its canonical JobSpec (job_codec.h),
 // which makes cells relocatable: the coordinator (coordinator.h) issues
@@ -19,34 +19,26 @@
 //    attempt) always produces the same bytes, and the coordinator ignores
 //    outcomes for decided cells or stale attempts.
 //
-// Two backends:
-//
-//  - Socket (`memtis_run --serve=PORT` / `--worker=HOST:PORT`): one
-//    length-prefixed JSON frame per message (src/common/netio.h). Connection
-//    EOF is an instant lease loss, so a crashed worker's cells re-issue
-//    without waiting out the lease timeout.
-//  - File (`memtis_run --serve=DIR` / `--worker=DIR`): a claim-file queue
-//    safe on a shared filesystem. Workers claim a published (index, attempt,
-//    issue) tuple by O_CREAT|O_EXCL-creating its claim file, heartbeat by
-//    bumping the file's mtime, and append results to a per-worker manifest
-//    (standard manifest.h lines) that the coordinator tails and merges
-//    last-wins by fingerprint.
+// Transport (`memtis_run --serve=[ADDR:]PORT` / `--worker=[HOST:]PORT`): one
+// TCP connection per worker carrying one length-prefixed JSON frame per
+// message (src/common/netio.h). Connection EOF is an instant lease loss, so a
+// crashed worker's cells re-issue without waiting out the lease timeout.
 
 #ifndef MEMTIS_SIM_SRC_RUNNER_WORK_QUEUE_H_
 #define MEMTIS_SIM_SRC_RUNNER_WORK_QUEUE_H_
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/netio.h"
 #include "src/runner/supervisor.h"
 #include "src/runner/sweep.h"
 
 namespace memtis {
-
-class JsonValue;
 
 // One issued cell: exactly one supervised attempt of jobs[index] at global
 // attempt number `attempt`. `issue` distinguishes successive leases of the
@@ -58,71 +50,16 @@ struct WorkItem {
   uint64_t issue = 0;
   uint64_t job_timeout_ms = 0;  // per-attempt watchdog for the worker
   // Mid-cell snapshot cadence in virtual ns (0 = off). When set, the worker
-  // runs the cell checkpointed (checkpoint_runner.h) with snapshots next to
-  // the lease, so a re-issued lease at the same attempt resumes instead of
+  // runs the cell checkpointed (checkpoint_runner.h) into its checkpoint
+  // directory, so a re-issued lease at the same attempt resumes instead of
   // restarting. Tolerant wire field: absent on older coordinators reads as 0.
   uint64_t checkpoint_ns = 0;
   std::string fingerprint;
   JobSpec spec;
 };
 
-class WorkQueue {
- public:
-  enum class ClaimStatus {
-    kClaimed,  // *item holds a lease; run it, renew it, complete it
-    kDone,     // the campaign is decided (or the coordinator hung up cleanly)
-    kLost,     // the queue is unreachable; the worker should give up
-  };
-
-  virtual ~WorkQueue() = default;
-
-  // Blocks until a cell is claimable, the campaign is over, or the queue is
-  // unreachable.
-  virtual ClaimStatus Claim(WorkItem* item) = 0;
-
-  // Heartbeats the lease on `item`. False = revoked (the worker may finish
-  // the attempt anyway; a stale result is simply ignored).
-  virtual bool Renew(const WorkItem& item) = 0;
-
-  // Reports the attempt's outcome. False = the campaign is gone.
-  virtual bool Complete(const WorkItem& item,
-                        const SupervisedOutcome& outcome) = 0;
-
-  // Reports several outcomes at once — the batching path for very small
-  // cells, where per-result round-trips dominate. Semantically identical to
-  // Complete in a loop (and that is the default implementation): batched
-  // results are merged by (fingerprint, attempt) exactly like streamed ones,
-  // so the coordinator's output bytes cannot tell the difference. Backends
-  // override it to amortize transport costs. False = the campaign is gone.
-  virtual bool CompleteBatch(
-      const std::vector<std::pair<WorkItem, SupervisedOutcome>>& batch) {
-    for (const auto& [item, outcome] : batch) {
-      if (!Complete(item, outcome)) {
-        return false;
-      }
-    }
-    return true;
-  }
-};
-
-// Connects to a coordinator at "PORT" or "HOST:PORT" (numeric IPv4),
-// retrying for up to connect_timeout_ms so workers may start first.
-std::unique_ptr<WorkQueue> MakeSocketWorkQueue(const std::string& addr,
-                                               const std::string& worker_name,
-                                               uint64_t connect_timeout_ms,
-                                               std::string* error);
-
-// Opens a claim-file queue rooted at `dir`. Claim() waits for the queue to
-// appear, and gives up (kLost) after give_up_after_idle_ms with nothing
-// claimable and no DONE marker — the window in which a killed coordinator
-// must be restarted with --resume semantics.
-std::unique_ptr<WorkQueue> MakeFileWorkQueue(const std::string& dir,
-                                             const std::string& worker_name,
-                                             uint64_t give_up_after_idle_ms,
-                                             std::string* error);
-
 // ---------------------------------------------------------------------------
-// Socket protocol: one JSON object per frame.
+// Wire protocol: one JSON object per frame.
 //
 // worker -> coordinator:
 //   {"type":"claim","worker":W}
@@ -168,37 +105,59 @@ std::string EncodeCellReply(const WorkItem& item);
 std::string EncodeSimpleReply(CoordinatorReply::Kind kind);
 std::string EncodeErrorReply(const std::string& message);
 
-// The {"index","attempt","issue","job_timeout_ms","checkpoint_ns",
-// "fingerprint","spec"} fields shared by cell replies and cells.jsonl lines.
-// ReadWorkItemFields is tolerant of garbage (false, never aborts) and of a
-// missing checkpoint_ns (older writers; reads as 0).
-void WriteWorkItemFields(JsonWriter& w, const WorkItem& item);
-bool ReadWorkItemFields(const JsonValue& doc, WorkItem* out);
+// A worker's connection to the coordinator: strict request/reply pairs on
+// one socket, serialized by a mutex so the worker's main loop and its lease
+// renewal thread can share it.
+class WorkQueue {
+ public:
+  enum class ClaimStatus {
+    kClaimed,  // *item holds a lease; run it, renew it, complete it
+    kDone,     // the campaign is decided (or the coordinator hung up)
+    kLost,     // the coordinator refused us; the worker should give up
+  };
 
-// ---------------------------------------------------------------------------
-// File backend layout under dir/:
-//   cells.jsonl       one WorkItem line per cell, published atomically by
-//                     rename (so a reader never sees a partial file)
-//   reissue.jsonl     coordinator-appended claimable tuples
-//                     {"index":N,"attempt":A,"issue":S} for issue > 0 leases
-//   resolved.jsonl    {"index":N} per decided cell (workers stop claiming it)
-//   claim-I-A-S       O_EXCL claim file (content: worker name); mtime is the
-//                     lease heartbeat; renamed to claim-I-A-S.expired on
-//                     revocation so the dead tuple can never be re-claimed
-//   results-W.jsonl   per-worker result manifest (manifest.h line format)
-//   DONE              created when the campaign is decided
+  // Takes ownership of a connected socket.
+  WorkQueue(int fd, std::string worker);
+  ~WorkQueue();
+  WorkQueue(const WorkQueue&) = delete;
+  WorkQueue& operator=(const WorkQueue&) = delete;
 
-std::string CellsFilePath(const std::string& dir);
-std::string ReissueFilePath(const std::string& dir);
-std::string ResolvedFilePath(const std::string& dir);
-std::string DoneFilePath(const std::string& dir);
-std::string ClaimFilePath(const std::string& dir, size_t index, int attempt,
-                          uint64_t issue);
-std::string WorkerResultsPath(const std::string& dir,
-                              const std::string& worker);
+  // Blocks until a cell is claimable, the campaign is over, or the
+  // coordinator is gone.
+  ClaimStatus Claim(WorkItem* item);
 
-// File-path-safe form of a worker name ([A-Za-z0-9_-], others become '_').
-std::string SanitizeWorkerName(const std::string& name);
+  // Heartbeats the lease on `item`. False = revoked (the worker may finish
+  // the attempt anyway; a stale result is simply ignored).
+  bool Renew(const WorkItem& item);
+
+  // Reports the attempt's outcome. False = the campaign is gone.
+  bool Complete(const WorkItem& item, const SupervisedOutcome& outcome);
+
+  // Reports several outcomes at once — the batching path for very small
+  // cells, where per-result round-trips dominate. All result frames go out
+  // back-to-back, then the replies are drained: the same frames and the same
+  // coordinator-side merge by (fingerprint, attempt) as Complete in a loop,
+  // so the output bytes cannot tell the difference. False = the campaign is
+  // gone.
+  bool CompleteBatch(
+      const std::vector<std::pair<WorkItem, SupervisedOutcome>>& batch);
+
+ private:
+  bool RoundTrip(const std::string& request, CoordinatorReply* reply);
+
+  int fd_;
+  std::string worker_;
+  std::mutex mu_;
+  FrameDecoder decoder_;
+  bool dead_ = false;
+};
+
+// Connects to a coordinator at `addr`, retrying for up to
+// connect_timeout_ms so workers may start first.
+std::unique_ptr<WorkQueue> MakeSocketWorkQueue(const NetAddress& addr,
+                                               const std::string& worker_name,
+                                               uint64_t connect_timeout_ms,
+                                               std::string* error);
 
 }  // namespace memtis
 

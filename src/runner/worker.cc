@@ -1,6 +1,7 @@
 #include "src/runner/worker.h"
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,20 +22,26 @@ namespace {
 // and prompt reporting keeps the coordinator's retry decisions timely.
 constexpr uint64_t kBatchableAccesses = 1'000'000;
 
-// Heartbeats one lease until stopped. Renewal failures are deliberately
-// ignored: a revoked lease just means our eventual result will be stale, and
-// stale results are harmless by construction.
+// Heartbeats the lease the worker currently holds, if any. Renewal failures
+// are deliberately ignored: a revoked lease just means our eventual result
+// will be stale, and stale results are harmless by construction.
+//
+// One thread for the worker's whole life, started before its first cell:
+// every cell runs in a forked child, and a thread still starting up when the
+// process forks can hold allocator locks the child then waits on forever
+// (the sanitizer runtimes' allocators do not guard fork).
 class LeaseRenewer {
  public:
-  LeaseRenewer(WorkQueue& queue, const WorkItem& item, uint64_t interval_ms)
-      : thread_([&queue, item, interval_ms, this] {
-          uint64_t since_renew = 0;
+  LeaseRenewer(WorkQueue& queue, uint64_t interval_ms)
+      : thread_([&queue, interval_ms, this] {
           while (!stop_.load(std::memory_order_relaxed)) {
             SleepMs(50);
-            since_renew += 50;
-            if (since_renew >= interval_ms) {
-              since_renew = 0;
-              queue.Renew(item);
+            // Renew under the lock, so Release() cannot return while a
+            // renewal still reads the item.
+            std::lock_guard<std::mutex> lock(mu_);
+            if (held_ != nullptr && (since_renew_ += 50) >= interval_ms) {
+              since_renew_ = 0;
+              queue.Renew(*held_);
             }
           }
         }) {}
@@ -43,8 +50,25 @@ class LeaseRenewer {
     stop_.store(true, std::memory_order_relaxed);
     thread_.join();
   }
+  LeaseRenewer(const LeaseRenewer&) = delete;
+  LeaseRenewer& operator=(const LeaseRenewer&) = delete;
+
+  // Heartbeats `item`, which must outlive the matching Release().
+  void Hold(const WorkItem& item) {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = &item;
+    since_renew_ = 0;
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = nullptr;
+  }
 
  private:
+  std::mutex mu_;
+  const WorkItem* held_ = nullptr;  // guarded by mu_
+  uint64_t since_renew_ = 0;        // guarded by mu_
   std::atomic<bool> stop_{false};
   std::thread thread_;
 };
@@ -52,6 +76,7 @@ class LeaseRenewer {
 }  // namespace
 
 int RunWorker(WorkQueue& queue, const WorkerOptions& options) {
+  LeaseRenewer renewer(queue, options.renew_interval_ms);
   int completed = 0;
   bool first_claim = true;
   bool checkpoint_dir_made = false;
@@ -73,8 +98,7 @@ int RunWorker(WorkQueue& queue, const WorkerOptions& options) {
     WorkItem item;
     switch (queue.Claim(&item)) {
       case WorkQueue::ClaimStatus::kDone:
-        flush();  // file backend: late results still help a restarted
-                  // coordinator; socket: harmlessly fails, peer is gone
+        flush();  // harmlessly fails if the coordinator is already gone
         return 0;
       case WorkQueue::ClaimStatus::kLost:
         flush();
@@ -121,8 +145,9 @@ int RunWorker(WorkQueue& queue, const WorkerOptions& options) {
           mkdir(options.checkpoint_dir.c_str(), 0777);  // EEXIST is fine
         }
       }
-      LeaseRenewer renewer(queue, item, options.renew_interval_ms);
+      renewer.Hold(item);
       outcome = RunJobSupervised(item.spec, sup);
+      renewer.Release();
     }
 
     // Very small cells batch their results; everything else — and a batch

@@ -24,12 +24,11 @@ struct WorkerOptions {
   uint64_t renew_interval_ms = 1'000;
 
   // Where cells that carry a checkpoint_ns write their snapshots (created on
-  // first use). Workers sharing this directory — always true for the file
-  // backend, where it defaults to the queue directory itself — resume each
-  // other's re-issued leases from the newest valid snapshot. Must be
-  // non-empty when the campaign checkpoints: the fallback of silently
-  // running such cells unsnapshotted would still produce the right bytes,
-  // but would lose the resume guarantee without saying so.
+  // first use). Workers sharing this directory (on shared storage, across
+  // hosts) resume each other's re-issued leases from the newest valid
+  // snapshot. Must be non-empty when the campaign checkpoints: the fallback
+  // of silently running such cells unsnapshotted would still produce the
+  // right bytes, but would lose the resume guarantee without saying so.
   std::string checkpoint_dir;
 
   // Graceful drain (SIGINT/SIGTERM): polled between cells. Once true the
@@ -55,7 +54,7 @@ struct WorkerOptions {
   uint64_t hang_first_claim_ms = 0;
 };
 
-// Runs until the queue reports done (0), unreachable (1), a chaos hook fired
+// Runs until the queue reports done (0), refused (1), a chaos hook fired
 // a soft kill (2), or a requested drain completed (3). A cell whose spec
 // does not hash to the advertised fingerprint is reported as kInvalidSpec
 // rather than run.

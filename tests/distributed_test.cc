@@ -1,19 +1,19 @@
 // Differential and chaos tests for distributed campaign execution: a
-// multi-worker campaign — over either backend, with workers crashing, hanging,
-// or retrying — must serialize to exactly the bytes of a single-host
-// supervised run (src/runner/coordinator.h documents why this holds).
+// multi-worker campaign — with workers crashing, hanging, or retrying, or the
+// coordinator restarting from its manifest — must serialize to exactly the
+// bytes of a single-host supervised run (src/runner/coordinator.h documents
+// why this holds).
 //
 // Workers run in-process threads here (soft kills: the worker abandons its
-// lease and its connection, which the coordinator sees as EOF / a stale claim
-// heartbeat). Real SIGKILL chaos — including killing the coordinator itself —
-// lives in scripts/smoke_distributed.sh.
+// lease and its connection, which the coordinator sees as EOF). Real SIGKILL
+// chaos — including killing the coordinator itself — lives in
+// scripts/smoke_distributed.sh.
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <future>
 #include <map>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,13 +56,6 @@ SweepSpec SmallSweep(int seeds = 1) {
   return sweep;
 }
 
-std::string TempDirFor(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
-  std::string cmd = "rm -rf '" + dir + "'";
-  std::system(cmd.c_str());
-  return dir;
-}
-
 // The acceptance bytes: the aggregate JSON and CSV a campaign's outcomes
 // serialize to. Byte equality here is what "byte-identical merge" means.
 std::string Bytes(const SweepSpec& sweep, const std::vector<JobSpec>& jobs,
@@ -91,68 +84,34 @@ struct CampaignRun {
   std::string error;
 };
 
-// Serves a socket campaign and runs each WorkerOptions entry as an in-process
-// worker thread against it. Workers start as soon as the port is bound;
-// workers whose `start_after_worker` predecessor is set join only after that
-// predecessor finished (sequential chaos schedules).
-CampaignRun RunSocketCampaign(const std::vector<JobSpec>& jobs,
-                              const CampaignOptions& options,
-                              const std::vector<WorkerOptions>& workers,
-                              bool sequential_workers = false) {
+// Serves a socket campaign (with `preloaded` manifest entries) and runs each
+// WorkerOptions entry as an in-process worker thread against it. Workers
+// start as soon as the port is bound, all at once or, with
+// `sequential_workers`, one after another (sequential chaos schedules).
+CampaignRun RunSocketCampaign(
+    const std::vector<JobSpec>& jobs, const CampaignOptions& options,
+    const std::vector<WorkerOptions>& workers, bool sequential_workers = false,
+    const std::map<std::string, ManifestEntry>& preloaded = {}) {
   CampaignRun run;
   std::promise<uint16_t> port_promise;
   std::shared_future<uint16_t> port_future(port_promise.get_future());
 
   std::thread coordinator([&] {
     run.outcomes = ServeSocketCampaign(
-        jobs, options, /*port=*/0,
-        [&](uint16_t bound) { port_promise.set_value(bound); }, {}, nullptr,
-        &run.stats, &run.error);
+        jobs, options, NetAddress{},
+        [&](uint16_t bound) { port_promise.set_value(bound); }, preloaded,
+        nullptr, &run.stats, &run.error);
   });
 
   auto run_one = [&](const WorkerOptions& opts) {
+    NetAddress addr;
+    addr.port = port_future.get();
     std::string error;
-    auto queue = MakeSocketWorkQueue(std::to_string(port_future.get()),
-                                     opts.name, 5'000, &error);
+    auto queue = MakeSocketWorkQueue(addr, opts.name, 5'000, &error);
     ASSERT_NE(queue, nullptr) << error;
     RunWorker(*queue, opts);
     // Queue destruction closes the connection: a soft-killed worker's held
     // lease surfaces to the coordinator as EOF right here.
-  };
-
-  if (sequential_workers) {
-    for (const WorkerOptions& opts : workers) {
-      run_one(opts);
-    }
-  } else {
-    std::vector<std::thread> threads;
-    for (const WorkerOptions& opts : workers) {
-      threads.emplace_back([&, opts] { run_one(opts); });
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
-  coordinator.join();
-  return run;
-}
-
-CampaignRun RunFileCampaign(const std::vector<JobSpec>& jobs,
-                            const std::string& dir,
-                            const CampaignOptions& options,
-                            const std::vector<WorkerOptions>& workers,
-                            bool sequential_workers = false) {
-  CampaignRun run;
-  std::thread coordinator([&] {
-    run.outcomes = ServeFileCampaign(jobs, dir, options, {}, nullptr,
-                                     &run.stats, &run.error);
-  });
-
-  auto run_one = [&](const WorkerOptions& opts) {
-    std::string error;
-    auto queue = MakeFileWorkQueue(dir, opts.name, 30'000, &error);
-    ASSERT_NE(queue, nullptr) << error;
-    RunWorker(*queue, opts);
   };
 
   if (sequential_workers) {
@@ -181,8 +140,7 @@ std::vector<WorkerOptions> PlainWorkers(int n) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential suite: in-process == supervised == 1-worker == 4-worker, over
-// both backends.
+// Differential suite: in-process == supervised == 1-worker == 4-worker.
 
 TEST(Distributed, SocketCampaignMatchesInProcessAndSupervisedBytes) {
   const SweepSpec sweep = SmallSweep();
@@ -223,19 +181,6 @@ TEST(Distributed, FourSocketWorkersAreByteIdenticalToOne) {
             Bytes(sweep, jobs, reference));
 }
 
-TEST(Distributed, FileBackendTwoWorkersAreByteIdentical) {
-  const SweepSpec sweep = SmallSweep(/*seeds=*/2);
-  const std::vector<JobSpec> jobs = ExpandJobs(sweep);
-  const std::vector<CellOutcome> reference = LocalReference(jobs);
-
-  const CampaignRun campaign =
-      RunFileCampaign(jobs, TempDirFor("dist_file_q"), CampaignOptions{},
-                      PlainWorkers(2));
-  ASSERT_TRUE(campaign.error.empty()) << campaign.error;
-  EXPECT_EQ(Bytes(sweep, jobs, campaign.outcomes),
-            Bytes(sweep, jobs, reference));
-}
-
 // ---------------------------------------------------------------------------
 // Chaos: killed workers, hung workers, retries that hop across workers.
 
@@ -258,24 +203,6 @@ TEST(Distributed, KilledSocketWorkerLeasesAreReissuedByteIdentically) {
               Bytes(sweep, jobs, reference))
         << "healthy=" << healthy;
   }
-}
-
-TEST(Distributed, KilledFileWorkerClaimExpiresAndIsReissued) {
-  const SweepSpec sweep = SmallSweep(/*seeds=*/2);
-  const std::vector<JobSpec> jobs = ExpandJobs(sweep);
-  const std::vector<CellOutcome> reference = LocalReference(jobs);
-
-  CampaignOptions options;
-  options.lease_timeout_ms = 400;  // expire the dead worker's claim quickly
-  std::vector<WorkerOptions> workers = PlainWorkers(2);
-  workers[0].kill_after_cells = 0;  // dies holding claim-*: heartbeat stops
-  const CampaignRun campaign =
-      RunFileCampaign(jobs, TempDirFor("dist_file_chaos"), options, workers,
-                      /*sequential_workers=*/true);
-  ASSERT_TRUE(campaign.error.empty()) << campaign.error;
-  EXPECT_GE(campaign.stats.leases_lost, 1u);
-  EXPECT_EQ(Bytes(sweep, jobs, campaign.outcomes),
-            Bytes(sweep, jobs, reference));
 }
 
 TEST(Distributed, HungWorkerLeaseExpiresWithoutChangingBytes) {
@@ -378,58 +305,50 @@ TEST(Distributed, SocketResumeFromManifestSkipsDecidedCells) {
   CampaignStats stats;
   std::string error;
   const std::vector<CellOutcome> resumed = ServeSocketCampaign(
-      jobs, options, 0, nullptr, preloaded, nullptr, &stats, &error);
+      jobs, options, NetAddress{}, nullptr, preloaded, nullptr, &stats, &error);
   ASSERT_TRUE(error.empty()) << error;
   EXPECT_EQ(stats.issues, 0u);
   EXPECT_EQ(Bytes(sweep, jobs, resumed), Bytes(sweep, jobs, reference));
-}
 
-// SIGKILLing a file-backend coordinator leaves cells.jsonl, per-worker
-// results files, and possibly a dead worker's claim file behind. A restarted
-// coordinator on the same directory must recover all of it: decided cells
-// from the results files, the stale claim via heartbeat expiry.
-TEST(Distributed, FileBackendCoordinatorRestartRecoversResultsAndStaleClaims) {
-  const SweepSpec sweep = SmallSweep(/*seeds=*/2);
-  const std::vector<JobSpec> jobs = ExpandJobs(sweep);
-  const std::vector<CellOutcome> reference = LocalReference(jobs);
-
-  // A complete campaign gives us authentic on-disk artifacts to replay.
-  const std::string dir1 = TempDirFor("dist_restart_src");
-  const CampaignRun full =
-      RunFileCampaign(jobs, dir1, CampaignOptions{}, PlainWorkers(1));
-  ASSERT_TRUE(full.error.empty()) << full.error;
-
-  // Fabricate the dead coordinator's directory: the first half of the results
-  // file survived, plus a stale claim file from a worker that died mid-cell.
-  const std::string dir2 = TempDirFor("dist_restart_dst");
-  ASSERT_EQ(::system(("mkdir -p '" + dir2 + "'").c_str()), 0);
+  // "Coordinator SIGKILLed mid-campaign": only the first half of the manifest
+  // survived, plus a torn final line from the write the kill interrupted.
+  // The restarted coordinator, served by fresh workers, re-issues exactly the
+  // missing cells and appends to the torn manifest, still reaching the
+  // reference bytes.
+  std::vector<std::string> lines;
   {
-    std::ifstream in(WorkerResultsPath(dir1, "w0"));
-    ASSERT_TRUE(in.is_open());
-    std::ofstream out(WorkerResultsPath(dir2, "w0"));
+    std::ifstream in(manifest);
     std::string line;
-    size_t copied = 0;
-    while (copied + 1 < jobs.size() / 2 + 1 && std::getline(in, line)) {
-      out << line << "\n";
-      ++copied;
+    while (std::getline(in, line)) {
+      lines.push_back(line);
     }
   }
+  ASSERT_EQ(lines.size(), jobs.size());
+  const size_t kept = lines.size() / 2;
+  const std::string torn_manifest =
+      ::testing::TempDir() + "dist_resume_torn_manifest.jsonl";
   {
-    // An orphaned claim on a not-yet-decided cell, heartbeat long stale.
-    std::ofstream claim(ClaimFilePath(dir2, jobs.size() - 1, 0, 0));
-    claim << "dead-worker\n";
+    std::ofstream out(torn_manifest, std::ios::trunc);
+    for (size_t i = 0; i < kept; ++i) {
+      out << lines[i] << "\n";
+    }
+    out << lines[kept].substr(0, lines[kept].size() / 2);  // no newline
   }
+  std::map<std::string, ManifestEntry> survived;
+  ManifestLoadStats load_stats;
+  ASSERT_TRUE(LoadManifest(torn_manifest, &survived, &load_stats));
+  EXPECT_EQ(survived.size(), kept);
+  EXPECT_EQ(load_stats.lines_skipped, 1u);
 
-  CampaignOptions options;
-  options.lease_timeout_ms = 300;
-  const CampaignRun resumed =
-      RunFileCampaign(jobs, dir2, options, PlainWorkers(1));
-  ASSERT_TRUE(resumed.error.empty()) << resumed.error;
-  // The surviving results were honoured (fewer fresh issues than cells) and
-  // the orphaned claim was revoked, not waited on forever.
-  EXPECT_LT(resumed.stats.issues, jobs.size());
-  EXPECT_GE(resumed.stats.leases_lost, 1u);
-  EXPECT_EQ(Bytes(sweep, jobs, resumed.outcomes),
+  CampaignOptions restart_options;
+  restart_options.manifest_path = torn_manifest;
+  const CampaignRun restarted =
+      RunSocketCampaign(jobs, restart_options, PlainWorkers(2),
+                        /*sequential_workers=*/false, survived);
+  ASSERT_TRUE(restarted.error.empty()) << restarted.error;
+  EXPECT_LT(restarted.stats.issues, jobs.size());
+  EXPECT_EQ(restarted.stats.issues, jobs.size() - kept);
+  EXPECT_EQ(Bytes(sweep, jobs, restarted.outcomes),
             Bytes(sweep, jobs, reference));
 }
 
@@ -463,13 +382,16 @@ TEST(Campaign, DuplicateAndStaleResultsAreIgnored) {
   EXPECT_EQ(second->index, 1u);
   campaign.OnLeaseLost(1, /*issue=*/7);  // wrong issue: ignored
   EXPECT_EQ(campaign.stats().leases_lost, 0u);
-  EXPECT_EQ(campaign.open_issue(1), 0u);
 
-  // Renewing a revoked tuple fails; renewing the live one succeeds.
+  // Renewing the live tuple succeeds; once revoked it fails, and the cell
+  // re-issues under the next issue id.
   EXPECT_TRUE(campaign.Renew(1, 0, 0, 2000));
   campaign.OnLeaseLost(1, 0);
   EXPECT_FALSE(campaign.Renew(1, 0, 0, 3000));
-  EXPECT_EQ(campaign.open_issue(1), 1u);
+  auto reissued = campaign.NextIssue(3000);
+  ASSERT_TRUE(reissued.has_value());
+  EXPECT_EQ(reissued->index, 1u);
+  EXPECT_EQ(reissued->issue, 1u);
 }
 
 TEST(Campaign, LeaseExpiryReissuesSameAttemptFreshIssue) {
@@ -557,6 +479,29 @@ TEST(Distributed, ProtocolRoundTripsThroughFrameDecoder) {
   EXPECT_EQ(req.outcome.failure.kind, FailureKind::kTimeout);
   EXPECT_EQ(req.outcome.failure.reproducer_cmdline,
             outcome.failure.reproducer_cmdline);
+}
+
+// `--serve` and `--worker` share one address form: "[HOST:]PORT" with a
+// numeric IPv4 host defaulting to loopback.
+TEST(Distributed, NetAddressAcceptsOnlyNumericHostPort) {
+  NetAddress addr;
+  std::string error;
+  ASSERT_TRUE(ParseNetAddress("0", &addr, &error)) << error;
+  EXPECT_EQ(addr.host, "127.0.0.1");
+  EXPECT_EQ(addr.port, 0);
+  ASSERT_TRUE(ParseNetAddress("10.0.0.5:7070", &addr, &error)) << error;
+  EXPECT_EQ(addr.host, "10.0.0.5");
+  EXPECT_EQ(addr.port, 7070);
+  ASSERT_TRUE(ParseNetAddress("0.0.0.0:65535", &addr, &error)) << error;
+  EXPECT_EQ(addr.port, 65535);
+
+  for (const char* bad : {"", "/tmp/q", "1.2.3.4:70000", "localhost:5", "-1",
+                          "+5", "5 ", " 5", "1.2.3.4:", ":5", "5x",
+                          "1.2.3:5", "::1:5"}) {
+    error.clear();
+    EXPECT_FALSE(ParseNetAddress(bad, &addr, &error)) << "'" << bad << "'";
+    EXPECT_FALSE(error.empty()) << "'" << bad << "'";
+  }
 }
 
 }  // namespace

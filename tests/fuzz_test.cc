@@ -604,10 +604,12 @@ TEST(Fuzz, CoordinatorSurvivesGarbageClients) {
   std::vector<CellOutcome> outcomes;
   std::thread coordinator([&] {
     outcomes = ServeSocketCampaign(
-        jobs, CampaignOptions{}, 0,
+        jobs, CampaignOptions{}, NetAddress{},
         [&](uint16_t bound) { port_promise.set_value(bound); }, {}, nullptr,
         &stats, &serve_error);
   });
+  NetAddress addr;
+  addr.port = port.get();
 
   // A parade of hostile clients: raw garbage, a garbled frame, an oversize
   // length prefix, and an instant hangup. Each should cost only its own
@@ -615,7 +617,7 @@ TEST(Fuzz, CoordinatorSurvivesGarbageClients) {
   std::mt19937_64 rng(7);
   for (int client = 0; client < 8; ++client) {
     std::string error;
-    const int fd = ConnectLoopback(std::to_string(port.get()), &error);
+    const int fd = ConnectTcp(addr, &error);
     ASSERT_GE(fd, 0) << error;
     std::string bytes;
     switch (client % 4) {
@@ -642,8 +644,7 @@ TEST(Fuzz, CoordinatorSurvivesGarbageClients) {
 
   // A healthy worker still completes the campaign.
   std::string error;
-  auto queue =
-      MakeSocketWorkQueue(std::to_string(port.get()), "healthy", 5'000, &error);
+  auto queue = MakeSocketWorkQueue(addr, "healthy", 5'000, &error);
   ASSERT_NE(queue, nullptr) << error;
   WorkerOptions wopts;
   wopts.name = "healthy";
@@ -651,65 +652,6 @@ TEST(Fuzz, CoordinatorSurvivesGarbageClients) {
   coordinator.join();
 
   ASSERT_TRUE(serve_error.empty()) << serve_error;
-  ASSERT_EQ(outcomes.size(), jobs.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].failure.message;
-    EXPECT_EQ(SerializeResult(outcomes[i].result),
-              SerializeResult(RunJob(jobs[i])));
-  }
-}
-
-TEST(Fuzz, FileQueueSurvivesTornTailsAndJunkClaims) {
-  SweepSpec sweep;
-  sweep.systems = {"memtis", "autonuma"};
-  sweep.benchmarks = {"btree"};
-  sweep.accesses = 20'000;
-  const std::vector<JobSpec> jobs = ExpandJobs(sweep);
-
-  const std::string dir = ::testing::TempDir() + "memtis_fuzz_queue";
-  std::system(("rm -rf '" + dir + "' && mkdir -p '" + dir + "'").c_str());
-
-  // Seed the directory with wreckage a crashed fleet could leave behind:
-  // a torn results tail, junk and duplicated reissue lines, a claim file for
-  // a nonexistent cell, and a garbage-content claim squatting on cell 0.
-  {
-    std::ofstream torn(WorkerResultsPath(dir, "dead"));
-    torn << "{\"v\":1,\"fingerprint\":\"deadbeef\",\"ok\":true";  // no newline
-  }
-  {
-    std::ofstream reissue(ReissueFilePath(dir));
-    reissue << "not json at all\n"
-            << "{\"index\":\n"
-            << "{}\n";
-  }
-  {
-    std::ofstream bogus(ClaimFilePath(dir, 999, 0, 0));
-    bogus << "ghost\n";
-  }
-  {
-    std::ofstream squatter(ClaimFilePath(dir, 0, 0, 0));
-    squatter << std::string(512, '\xFF') << "\n";
-  }
-
-  CampaignOptions options;
-  options.lease_timeout_ms = 300;  // evict the squatter quickly
-  CampaignStats stats;
-  std::string serve_error;
-  std::vector<CellOutcome> outcomes;
-  std::thread coordinator([&] {
-    outcomes = ServeFileCampaign(jobs, dir, options, {}, nullptr, &stats,
-                                 &serve_error);
-  });
-  std::string error;
-  auto queue = MakeFileWorkQueue(dir, "healthy", 30'000, &error);
-  ASSERT_NE(queue, nullptr) << error;
-  WorkerOptions wopts;
-  wopts.name = "healthy";
-  EXPECT_EQ(RunWorker(*queue, wopts), 0);
-  coordinator.join();
-
-  ASSERT_TRUE(serve_error.empty()) << serve_error;
-  EXPECT_GE(stats.leases_lost, 1u);  // the squatting claim was revoked
   ASSERT_EQ(outcomes.size(), jobs.size());
   for (size_t i = 0; i < outcomes.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok) << outcomes[i].failure.message;

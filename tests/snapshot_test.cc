@@ -467,7 +467,7 @@ TEST(Checkpoint, FourWorkerCampaignWithKillsIsByteIdentical) {
 
   std::thread coordinator([&] {
     outcomes = ServeSocketCampaign(
-        jobs, options, /*port=*/0,
+        jobs, options, NetAddress{},
         [&](uint16_t bound) { port_promise.set_value(bound); }, {}, nullptr,
         &stats, &error);
   });
@@ -483,9 +483,10 @@ TEST(Checkpoint, FourWorkerCampaignWithKillsIsByteIdentical) {
       if (i == 1) {
         opts.result_batch = 4;  // batched results merge identically
       }
+      NetAddress addr;
+      addr.port = port_future.get();
       std::string queue_error;
-      auto queue = MakeSocketWorkQueue(std::to_string(port_future.get()),
-                                       opts.name, 5'000, &queue_error);
+      auto queue = MakeSocketWorkQueue(addr, opts.name, 5'000, &queue_error);
       ASSERT_NE(queue, nullptr) << queue_error;
       RunWorker(*queue, opts);
     });
