@@ -84,35 +84,32 @@ void AuditCollector::Fail(std::string_view invariant, std::string detail) {
 
 namespace {
 
-const char* TierName(TierId id) {
-  return id == TierId::kFast ? "fast" : "capacity";
-}
+// The checks over page slots, read from one census. The public Check*
+// functions take their own; InvariantAuditor shares one per audit point.
 
-}  // namespace
-
-void CheckFrameConservation(const MemorySystem& mem, AuditCollector& out) {
+void FrameConservation(const MemorySystem& mem, const MemCensus& census,
+                       AuditCollector& out) {
   uint64_t recounted_total = 0;
   for (int t = 0; t < kNumTiers; ++t) {
     const TierId id = static_cast<TierId>(t);
     const MemoryTier& tier = mem.tier(id);
     out.BeginCheck();
-    std::string err;
-    if (!tier.allocator().CheckConsistency(&err)) {
+    if (!census.buddy_error[t].empty()) {
       out.Fail("frame-conservation",
-               std::string(TierName(id)) + " tier buddy allocator: " + err);
+               tier.name() + " tier buddy allocator: " + census.buddy_error[t]);
     }
     if (tier.used_frames() + tier.free_frames() != tier.total_frames()) {
       out.Fail("frame-conservation",
-               std::string(TierName(id)) + " tier: used " +
+               tier.name() + " tier: used " +
                    std::to_string(tier.used_frames()) + " + free " +
                    std::to_string(tier.free_frames()) + " != capacity " +
                    std::to_string(tier.total_frames()));
     }
-    const uint64_t recounted = mem.RecountMapped4kInTier(id);
+    const uint64_t recounted = census.mapped_4k_tier[t];
     recounted_total += recounted;
     if (recounted + mem.pinned_frames(id) != tier.used_frames()) {
       out.Fail("frame-conservation",
-               std::string(TierName(id)) + " tier: " +
+               tier.name() + " tier: " +
                    std::to_string(recounted) + " mapped 4k pages + " +
                    std::to_string(mem.pinned_frames(id)) +
                    " pinned frames != " + std::to_string(tier.used_frames()) +
@@ -127,63 +124,47 @@ void CheckFrameConservation(const MemorySystem& mem, AuditCollector& out) {
   }
 }
 
-void CheckPageTableMapping(MemorySystem& mem, AuditCollector& out) {
+void PageTableMapping(const MemorySystem& mem, const MemCensus& census,
+                      AuditCollector& out) {
   out.BeginCheck();
   std::string err;
-  if (!mem.CheckConsistency(&err)) {
+  if (!mem.CheckConsistency(census, &err)) {
     out.Fail("page-table-mapping", err);
   }
 }
 
-void CheckHugePageAccounting(MemorySystem& mem, AuditCollector& out) {
+void HugePageAccounting(const MemorySystem& mem, const MemCensus& census,
+                        AuditCollector& out) {
   out.BeginCheck();
   uint64_t failures = 0;
-  mem.ForEachLivePage([&](PageIndex index, PageInfo& page) {
-    if (failures >= 4) {
-      return;  // one audit point reports at most a few pages
+  for (const MemCensus::HugeFaultPage& fault : census.huge_faults) {
+    if (failures >= MemCensus::kMaxHugeFaultPages) {
+      break;  // one audit point reports at most a few pages
     }
-    if (page.kind() == PageKind::kHuge) {
-      if (page.huge == nullptr) {
+    const PageInfo& page = mem.page(fault.index);
+    const std::string index = std::to_string(fault.index);
+    const std::string huge = "huge page " + index;
+    const auto report = [&](uint8_t bit, auto detail) {
+      if ((fault.faults & bit) != 0) {
         ++failures;
-        out.Fail("huge-page-accounting",
-                 "huge page " + std::to_string(index) + " has no subpage metadata");
-        return;
+        out.Fail("huge-page-accounting", detail());
       }
-      if (page.base_vpn % kSubpagesPerHuge != 0) {
-        ++failures;
-        out.Fail("huge-page-accounting",
-                 "huge page " + std::to_string(index) + " at unaligned vpn " +
-                     std::to_string(page.base_vpn));
-      }
-      // One pass for both recounts: the counter sum and the nonzero entries.
-      uint64_t subpage_sum = 0;
-      uint32_t nonzero = 0;
-      for (uint32_t c : page.huge->subpage_count) {
-        subpage_sum += c;
-        nonzero += c != 0 ? 1 : 0;
-      }
-      if (subpage_sum > page.access_count()) {
-        ++failures;
-        out.Fail("huge-page-accounting",
-                 "huge page " + std::to_string(index) + ": subpage counters sum " +
-                     std::to_string(subpage_sum) + " > page counter " +
-                     std::to_string(page.access_count()));
-      }
-      if (nonzero != page.huge->nonzero_subpages) {
-        ++failures;
-        out.Fail("huge-page-accounting",
-                 "huge page " + std::to_string(index) +
-                     ": nonzero-subpage summary " +
-                     std::to_string(page.huge->nonzero_subpages) +
-                     " != recount " + std::to_string(nonzero) +
-                     " (the cooling scan-skip relies on this)");
-      }
-    } else if (page.huge != nullptr) {
-      ++failures;
-      out.Fail("huge-page-accounting",
-               "base page " + std::to_string(index) + " carries huge metadata");
-    }
-  });
+    };
+    report(MemCensus::kNoMeta, [&] { return huge + " has no subpage metadata"; });
+    report(MemCensus::kUnaligned,
+           [&] { return huge + " at unaligned vpn " + std::to_string(page.base_vpn); });
+    report(MemCensus::kSubpageSum, [&] {
+      return huge + ": subpage counters sum " + std::to_string(fault.subpage_sum) +
+             " > page counter " + std::to_string(page.access_count());
+    });
+    report(MemCensus::kNonzeroSummary, [&] {
+      return huge + ": nonzero-subpage summary " +
+             std::to_string(page.huge->nonzero_subpages) + " != recount " +
+             std::to_string(fault.nonzero) + " (the cooling scan-skip relies on this)";
+    });
+    report(MemCensus::kBaseWithMeta,
+           [&] { return "base page " + index + " carries huge metadata"; });
+  }
   out.BeginCheck();
   const MigrationStats& ms = mem.migration_stats();
   if (ms.demand_faults > ms.freed_zero_subpages) {
@@ -194,33 +175,31 @@ void CheckHugePageAccounting(MemorySystem& mem, AuditCollector& out) {
   }
 }
 
-void CheckIncrementalCounters(const MemorySystem& mem, AuditCollector& out) {
+void IncrementalCounters(const MemorySystem& mem, const MemCensus& census,
+                         AuditCollector& out) {
   out.BeginCheck();
-  const uint64_t huge = mem.RecountLiveHugePages();
-  if (huge != mem.live_huge_pages()) {
+  if (census.live_huge_pages != mem.live_huge_pages()) {
     out.Fail("incremental-counters",
              "live huge-page counter " + std::to_string(mem.live_huge_pages()) +
-                 " != recount " + std::to_string(huge));
+                 " != recount " + std::to_string(census.live_huge_pages));
   }
-  const uint64_t written = mem.RecountWrittenSubpages();
-  if (written != mem.written_subpages()) {
+  if (census.written_subpages != mem.written_subpages()) {
     out.Fail("incremental-counters",
              "written-subpage counter " + std::to_string(mem.written_subpages()) +
-                 " != recount " + std::to_string(written));
+                 " != recount " + std::to_string(census.written_subpages));
   }
-  if (mem.bloat_pages() != mem.RecountBloatPages()) {
+  if (mem.bloat_pages() != census.bloat_pages()) {
     out.Fail("incremental-counters",
              "bloat_pages() " + std::to_string(mem.bloat_pages()) +
-                 " != recount " + std::to_string(mem.RecountBloatPages()));
+                 " != recount " + std::to_string(census.bloat_pages()));
   }
   for (int t = 0; t < kNumTiers; ++t) {
     const TierId id = static_cast<TierId>(t);
-    const uint64_t recounted = mem.RecountMapped4kInTier(id);
-    if (recounted != mem.mapped_4k_in_tier(id)) {
+    if (census.mapped_4k_tier[t] != mem.mapped_4k_in_tier(id)) {
       out.Fail("incremental-counters",
-               std::string(TierName(id)) + " tier mapped-4k counter " +
+               mem.tier(id).name() + " tier mapped-4k counter " +
                    std::to_string(mem.mapped_4k_in_tier(id)) + " != recount " +
-                   std::to_string(recounted));
+                   std::to_string(census.mapped_4k_tier[t]));
     }
   }
   if (mem.huge_meta_allocated() != mem.huge_meta_pooled() + mem.live_huge_pages()) {
@@ -230,6 +209,83 @@ void CheckIncrementalCounters(const MemorySystem& mem, AuditCollector& out) {
                  std::to_string(mem.huge_meta_pooled()) + " pooled + " +
                  std::to_string(mem.live_huge_pages()) + " live huge pages");
   }
+}
+
+void TenantConservation(const MemorySystem& mem, const MemCensus& census,
+                        AuditCollector& out) {
+  out.BeginCheck();
+  for (PageIndex index : census.unregistered_owner) {
+    out.Fail("tenant-conservation",
+             "page " + std::to_string(index) + " owned by unregistered tenant " +
+                 std::to_string(mem.page(index).tenant));
+  }
+  if (!census.unregistered_owner.empty()) {
+    return;
+  }
+  const std::vector<uint64_t>& recount = census.tenant_mapped_4k;
+  uint64_t sum_tier[kNumTiers] = {0, 0};
+  for (TenantId id = 0; id < mem.tenant_count(); ++id) {
+    const TenantFrameStats& t = mem.tenant_stats(id);
+    for (int tier = 0; tier < kNumTiers; ++tier) {
+      sum_tier[tier] += t.mapped_4k_tier[tier];
+      if (recount[id * kNumTiers + tier] != t.mapped_4k_tier[tier]) {
+        out.Fail("tenant-conservation",
+                 "tenant " + std::to_string(id) + " tier " + std::to_string(tier) +
+                     " counter " + std::to_string(t.mapped_4k_tier[tier]) +
+                     " != recount " + std::to_string(recount[id * kNumTiers + tier]));
+      }
+    }
+    if (t.fast_pages() > t.effective_fast_limit()) {
+      out.Fail("tenant-conservation",
+               "tenant " + std::to_string(id) + " fast usage " +
+                   std::to_string(t.fast_pages()) + " exceeds limit " +
+                   std::to_string(t.effective_fast_limit()) + " (quota " +
+                   std::to_string(t.quota_frames) + ", borrow " +
+                   std::to_string(t.borrow_frames) + ")");
+    }
+    if (t.budget.active) {
+      if (t.budget.burst + t.budget.credited_pages - t.budget.consumed_pages !=
+              t.budget.tokens ||
+          t.budget.tokens > t.budget.burst) {
+        out.Fail("tenant-conservation",
+                 "tenant " + std::to_string(id) + " promotion-budget ledger: burst " +
+                     std::to_string(t.budget.burst) + " + credited " +
+                     std::to_string(t.budget.credited_pages) + " - consumed " +
+                     std::to_string(t.budget.consumed_pages) + " != tokens " +
+                     std::to_string(t.budget.tokens));
+      }
+    }
+  }
+  for (int tier = 0; tier < kNumTiers; ++tier) {
+    if (sum_tier[tier] != mem.mapped_4k_in_tier(static_cast<TierId>(tier))) {
+      out.Fail("tenant-conservation",
+               "per-tenant mapped 4k in tier " + std::to_string(tier) +
+                   " sums to " + std::to_string(sum_tier[tier]) + " != global " +
+                   std::to_string(mem.mapped_4k_in_tier(static_cast<TierId>(tier))));
+    }
+  }
+}
+
+}  // namespace
+
+void CheckFrameConservation(const MemorySystem& mem, AuditCollector& out) {
+  FrameConservation(mem, mem.TakeCensus(), out);
+}
+
+void CheckPageTableMapping(MemorySystem& mem, AuditCollector& out) {
+  PageTableMapping(mem, mem.TakeCensus(), out);
+}
+
+void CheckHugePageAccounting(MemorySystem& mem, AuditCollector& out) {
+  HugePageAccounting(mem, mem.TakeCensus(), out);
+}
+
+void CheckIncrementalCounters(const MemorySystem& mem, AuditCollector& out) {
+  IncrementalCounters(mem, mem.TakeCensus(), out);
+}
+
+void CheckTenantConservation(MemorySystem& mem, AuditCollector& out) {
+  TenantConservation(mem, mem.TakeCensus(), out);
 }
 
 void CheckTlbCoherence(const Tlb& tlb, const MemorySystem& mem,
@@ -355,69 +411,6 @@ void CheckMemtisHistogramsFull(const MemtisPolicy& policy, MemorySystem& mem,
   }
 }
 
-void CheckTenantConservation(MemorySystem& mem, AuditCollector& out) {
-  out.BeginCheck();
-  // Single pass over live pages; per-tenant RecountTenantMapped4k would be
-  // O(pages x tenants).
-  const TenantId count = mem.tenant_count();
-  std::vector<uint64_t> recount(static_cast<size_t>(count) * kNumTiers, 0);
-  bool unknown_owner = false;
-  mem.ForEachLivePage([&](PageIndex index, PageInfo& p) {
-    if (p.tenant >= count) {
-      out.Fail("tenant-conservation",
-               "page " + std::to_string(index) + " owned by unregistered tenant " +
-                   std::to_string(p.tenant));
-      unknown_owner = true;
-      return;
-    }
-    recount[p.tenant * kNumTiers + static_cast<int>(p.tier())] += p.size_pages();
-  });
-  if (unknown_owner) {
-    return;
-  }
-  uint64_t sum_tier[kNumTiers] = {0, 0};
-  for (TenantId id = 0; id < count; ++id) {
-    const TenantFrameStats& t = mem.tenant_stats(id);
-    for (int tier = 0; tier < kNumTiers; ++tier) {
-      sum_tier[tier] += t.mapped_4k_tier[tier];
-      if (recount[id * kNumTiers + tier] != t.mapped_4k_tier[tier]) {
-        out.Fail("tenant-conservation",
-                 "tenant " + std::to_string(id) + " tier " + std::to_string(tier) +
-                     " counter " + std::to_string(t.mapped_4k_tier[tier]) +
-                     " != recount " + std::to_string(recount[id * kNumTiers + tier]));
-      }
-    }
-    if (t.fast_pages() > t.effective_fast_limit()) {
-      out.Fail("tenant-conservation",
-               "tenant " + std::to_string(id) + " fast usage " +
-                   std::to_string(t.fast_pages()) + " exceeds limit " +
-                   std::to_string(t.effective_fast_limit()) + " (quota " +
-                   std::to_string(t.quota_frames) + ", borrow " +
-                   std::to_string(t.borrow_frames) + ")");
-    }
-    if (t.budget.active) {
-      if (t.budget.burst + t.budget.credited_pages - t.budget.consumed_pages !=
-              t.budget.tokens ||
-          t.budget.tokens > t.budget.burst) {
-        out.Fail("tenant-conservation",
-                 "tenant " + std::to_string(id) + " promotion-budget ledger: burst " +
-                     std::to_string(t.budget.burst) + " + credited " +
-                     std::to_string(t.budget.credited_pages) + " - consumed " +
-                     std::to_string(t.budget.consumed_pages) + " != tokens " +
-                     std::to_string(t.budget.tokens));
-      }
-    }
-  }
-  for (int tier = 0; tier < kNumTiers; ++tier) {
-    if (sum_tier[tier] != mem.mapped_4k_in_tier(static_cast<TierId>(tier))) {
-      out.Fail("tenant-conservation",
-               "per-tenant mapped 4k in tier " + std::to_string(tier) +
-                   " sums to " + std::to_string(sum_tier[tier]) + " != global " +
-                   std::to_string(mem.mapped_4k_in_tier(static_cast<TierId>(tier))));
-    }
-  }
-}
-
 void CheckMemtisTenantHistograms(const MemtisPolicy& policy,
                                  const MemorySystem& mem, AuditCollector& out) {
   out.BeginCheck();
@@ -463,20 +456,24 @@ void InvariantAuditor::RegisterCheck(std::string name, bool expensive,
 }
 
 void InvariantAuditor::RegisterDefaultChecks() {
-  RegisterCheck("frame-conservation", false, [](Engine& e, AuditCollector& out) {
-    CheckFrameConservation(e.mem(), out);
-  });
-  RegisterCheck("page-table-mapping", false, [](Engine& e, AuditCollector& out) {
-    CheckPageTableMapping(e.mem(), out);
-  });
-  RegisterCheck("huge-page-accounting", false,
-                [](Engine& e, AuditCollector& out) {
-                  CheckHugePageAccounting(e.mem(), out);
-                });
-  RegisterCheck("incremental-counters", false,
-                [](Engine& e, AuditCollector& out) {
-                  CheckIncrementalCounters(e.mem(), out);
-                });
+  // The checks over page slots read this audit point's census.
+  const auto census_check = [this](const char* name, auto check) {
+    RegisterCheck(name, false, [this, check](Engine& e, AuditCollector& out) {
+      check(e.mem(), census_, out);
+    });
+  };
+  // The MEMTIS checks fire only when the engine's policy is a MemtisPolicy.
+  const auto memtis_check = [this](const char* name, bool expensive, auto check) {
+    RegisterCheck(name, expensive, [check](Engine& e, AuditCollector& out) {
+      if (const auto* p = dynamic_cast<MemtisPolicy*>(&e.policy())) {
+        check(*p, e.mem(), out);
+      }
+    });
+  };
+  census_check("frame-conservation", FrameConservation);
+  census_check("page-table-mapping", PageTableMapping);
+  census_check("huge-page-accounting", HugePageAccounting);
+  census_check("incremental-counters", IncrementalCounters);
   RegisterCheck("tlb-coherence", false, [](Engine& e, AuditCollector& out) {
     CheckTlbCoherence(e.tlb(), e.mem(), out);
   });
@@ -509,37 +506,14 @@ void InvariantAuditor::RegisterDefaultChecks() {
   RegisterCheck("exchange-accounting", false, [](Engine& e, AuditCollector& out) {
     CheckExchangeAccounting(e.mem(), e.faults().stats(), out);
   });
-  RegisterCheck("tenant-conservation", false, [](Engine& e, AuditCollector& out) {
-    CheckTenantConservation(e.mem(), out);
-  });
-  RegisterCheck("memtis-sample-ledger", false,
-                [](Engine& e, AuditCollector& out) {
-                  const auto* p = dynamic_cast<MemtisPolicy*>(&e.policy());
-                  if (p != nullptr) {
-                    CheckMemtisSampleLedger(*p, out);
-                  }
-                });
-  RegisterCheck("memtis-histogram-mass", false,
-                [](Engine& e, AuditCollector& out) {
-                  const auto* p = dynamic_cast<MemtisPolicy*>(&e.policy());
-                  if (p != nullptr) {
-                    CheckMemtisHistogramMass(*p, e.mem(), out);
-                  }
-                });
-  RegisterCheck("memtis-tenant-histograms", false,
-                [](Engine& e, AuditCollector& out) {
-                  const auto* p = dynamic_cast<MemtisPolicy*>(&e.policy());
-                  if (p != nullptr) {
-                    CheckMemtisTenantHistograms(*p, e.mem(), out);
-                  }
-                });
-  RegisterCheck("memtis-histogram-full", true,
-                [](Engine& e, AuditCollector& out) {
-                  const auto* p = dynamic_cast<MemtisPolicy*>(&e.policy());
-                  if (p != nullptr) {
-                    CheckMemtisHistogramsFull(*p, e.mem(), out);
-                  }
-                });
+  census_check("tenant-conservation", TenantConservation);
+  memtis_check("memtis-sample-ledger", false,
+               [](const MemtisPolicy& p, MemorySystem&, AuditCollector& out) {
+                 CheckMemtisSampleLedger(p, out);
+               });
+  memtis_check("memtis-histogram-mass", false, CheckMemtisHistogramMass);
+  memtis_check("memtis-tenant-histograms", false, CheckMemtisTenantHistograms);
+  memtis_check("memtis-histogram-full", true, CheckMemtisHistogramsFull);
 }
 
 void InvariantAuditor::OnTick(Engine& engine) {
@@ -563,6 +537,7 @@ void InvariantAuditor::OnRunEnd(Engine& engine) {
 
 void InvariantAuditor::AuditNow(Engine& engine, bool include_expensive) {
   collector_.SetContext(engine.now_ns(), ticks_seen_);
+  census_ = engine.mem().TakeCensus();
   for (const Check& check : checks_) {
     if (check.expensive && !include_expensive) {
       continue;

@@ -118,8 +118,8 @@ void CheckPageTableMapping(MemorySystem& mem, AuditCollector& out);
 void CheckHugePageAccounting(MemorySystem& mem, AuditCollector& out);
 
 // Incremental counters: the O(1) metric counters (live huge pages, written
-// subpages, bloat, per-tier mapped-4k) match from-scratch recounts over the
-// live page metadata, and the HugePageMeta pool conserves its buffers
+// subpages, bloat, per-tier mapped-4k) match the census of the live page
+// metadata, and the HugePageMeta pool conserves its buffers
 // (allocated == pooled + live huge pages). These counters replaced the old
 // full-scan metrics, so this check is what keeps the fast path honest.
 void CheckIncrementalCounters(const MemorySystem& mem, AuditCollector& out);
@@ -200,6 +200,9 @@ class InvariantAuditor : public EngineObserver {
 
   InvariantAuditor();
   explicit InvariantAuditor(const Options& options);
+  // The default checks read census_ through `this`.
+  InvariantAuditor(const InvariantAuditor&) = delete;
+  InvariantAuditor& operator=(const InvariantAuditor&) = delete;
 
   // Adds an invariant. `expensive` checks run on the expensive_stride only.
   void RegisterCheck(std::string name, bool expensive, CheckFn fn);
@@ -207,7 +210,7 @@ class InvariantAuditor : public EngineObserver {
   void OnTick(Engine& engine) override;
   void OnRunEnd(Engine& engine) override;
 
-  // Runs all registered checks once at the engine's current state.
+  // Runs all registered checks once, against one fresh census of the engine.
   void AuditNow(Engine& engine, bool include_expensive);
 
   const AuditReport& report() const { return report_; }
@@ -231,6 +234,7 @@ class InvariantAuditor : public EngineObserver {
   Options options_;
   AuditReport report_;
   AuditCollector collector_;
+  MemCensus census_;  // this audit point's; retaken by every AuditNow
   std::vector<Check> checks_;
   uint64_t ticks_seen_ = 0;
   uint64_t audits_run_ = 0;

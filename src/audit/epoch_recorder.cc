@@ -183,15 +183,10 @@ void EpochRecorder::Record(Engine& engine) {
 }
 
 std::vector<EpochSample> EpochRecorder::samples() const {
-  std::vector<EpochSample> out;
-  out.reserve(ring_.size());
-  if (recorded_total_ <= ring_.size()) {
-    out = ring_;
-  } else {
-    const uint64_t start = recorded_total_ % options_.capacity;
-    for (uint64_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(start + i) % options_.capacity]);
-    }
+  // Once the ring has wrapped, the oldest sample sits in the next write slot.
+  std::vector<EpochSample> out = ring_;
+  if (recorded_total_ > ring_.size()) {
+    std::rotate(out.begin(), out.begin() + recorded_total_ % ring_.size(), out.end());
   }
   return out;
 }

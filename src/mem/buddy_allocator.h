@@ -48,8 +48,7 @@ class BuddyAllocator {
   // free_frames() matches, and that every frame marked as a free-block head is
   // on a list. The diagnostic variant describes the first
   // inconsistency found in `error` (unchanged when consistent).
-  bool CheckConsistency() const { return CheckConsistency(nullptr); }
-  bool CheckConsistency(std::string* error) const;
+  bool CheckConsistency(std::string* error = nullptr) const;
 
   // Fault injection for the consistency tests: queues a free block without
   // touching free_frames() or checking for overlap.

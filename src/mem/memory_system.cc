@@ -1,6 +1,7 @@
 #include "src/mem/memory_system.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
@@ -530,16 +531,6 @@ const MemorySystem::Region* MemorySystem::RegionContaining(Vpn vpn) const {
   return &it->second;
 }
 
-uint64_t MemorySystem::RecountTenantMapped4k(TenantId tenant, TierId tier) const {
-  uint64_t mapped = 0;
-  for (const PageInfo& p : pages_) {
-    if (p.live && p.tenant == tenant && p.tier() == tier) {
-      mapped += p.size_pages();
-    }
-  }
-  return mapped;
-}
-
 std::vector<Vaddr> MemorySystem::TenantRegionStarts(TenantId tenant) const {
   std::vector<Vaddr> starts;
   for (const auto& [start_vpn, region] : regions_) {
@@ -698,12 +689,6 @@ void MemorySystem::ClearAccessedBits() {
   }
 }
 
-uint64_t MemorySystem::bloat_pages() const {
-  // Never-written subpages over live huge pages, from the incremental
-  // counters (RecountBloatPages is the from-scratch equivalent).
-  return huge_pages_ * kSubpagesPerHuge - written_subpages_;
-}
-
 double MemorySystem::huge_page_ratio() const {
   if (mapped_4k_ == 0) {
     return 0.0;
@@ -712,94 +697,31 @@ double MemorySystem::huge_page_ratio() const {
          static_cast<double>(mapped_4k_);
 }
 
-uint64_t MemorySystem::RecountMapped4kInTier(TierId id) const {
-  uint64_t mapped = 0;
-  for (const PageInfo& p : pages_) {
-    if (p.live && p.tier() == id) {
-      mapped += p.size_pages();
-    }
-  }
-  return mapped;
-}
-
-uint64_t MemorySystem::RecountLiveHugePages() const {
-  uint64_t huge = 0;
-  for (const PageInfo& p : pages_) {
-    if (p.live && p.kind() == PageKind::kHuge) {
-      ++huge;
-    }
-  }
-  return huge;
-}
-
-uint64_t MemorySystem::RecountWrittenSubpages() const {
-  uint64_t written = 0;
-  for (const PageInfo& p : pages_) {
-    if (p.live && p.kind() == PageKind::kHuge) {
-      written += CountSubpages(p.huge->written);
-    }
-  }
-  return written;
-}
-
-uint64_t MemorySystem::RecountBloatPages() const {
-  uint64_t bloat = 0;
-  for (const PageInfo& p : pages_) {
-    if (p.live && p.kind() == PageKind::kHuge) {
-      bloat += kSubpagesPerHuge - CountSubpages(p.huge->written);
-    }
-  }
-  return bloat;
-}
-
-bool MemorySystem::CheckConsistency(std::string* error) const {
-  const auto fail = [error](std::string detail) {
-    if (error != nullptr) {
-      *error = std::move(detail);
-    }
-    return false;
-  };
-  uint64_t mapped = 0;
-  uint64_t live = 0;
-  uint64_t huge = 0;
-  uint64_t written = 0;
-  uint64_t mapped_tier[kNumTiers] = {0, 0};
-  std::vector<uint64_t> tenant_tier(tenants_.size() * kNumTiers, 0);
-  // SoA coherence: the hot arrays are sized in lockstep with the page slots,
-  // every slot's back-reference points here, and dead slots hold the
-  // ResetSlot defaults (so stale hot state cannot leak into a recycled slot).
-  if (hot_.size() != pages_.size()) {
-    return fail("hot arrays sized " + std::to_string(hot_.size()) +
-                " != page slots " + std::to_string(pages_.size()));
-  }
-  for (PageIndex i = 0; i < pages_.size(); ++i) {
+MemCensus MemorySystem::TakeCensus() const {
+  // The first fault CheckConsistency reports for slot i ("" when sound). Dead
+  // slots must hold the ResetSlot defaults, so no stale hot state leaks.
+  const auto slot_fault = [this](PageIndex i) -> std::string {
     const PageInfo& p = pages_[i];
     if (p.hot != &hot_ || p.self != i) {
-      return fail("page slot " + std::to_string(i) +
-                  " hot-array back-reference broken");
+      return "page slot " + std::to_string(i) + " hot-array back-reference broken";
     }
     if (!p.live) {
       if (hot_.kind[i] != PageKind::kBase || hot_.tier[i] != TierId::kCapacity ||
           hot_.frame[i] != 0 || hot_.access_count[i] != 0) {
-        return fail("dead page slot " + std::to_string(i) +
-                    " holds non-default hot fields");
+        return "dead page slot " + std::to_string(i) + " holds non-default hot fields";
       }
-      continue;
+      return {};
     }
-    ++live;
-    const uint64_t n = p.size_pages();
-    mapped += n;
-    mapped_tier[static_cast<int>(p.tier())] += n;
     if (p.tenant >= tenants_.size()) {
-      return fail("page " + std::to_string(i) + " owned by unregistered tenant " +
-                  std::to_string(p.tenant));
+      return "page " + std::to_string(i) + " owned by unregistered tenant " +
+             std::to_string(p.tenant);
     }
-    tenant_tier[p.tenant * kNumTiers + static_cast<int>(p.tier())] += n;
     // Every vpn of the span must map back to i: one bounds test for the span,
     // then an OR of (entry ^ i) over it, which is zero iff all entries match.
     // Only a mismatch reruns the per-vpn walk to name the first bad vpn.
-    bool mapped_back = p.base_vpn <= page_table_.size() &&
-                       n <= page_table_.size() - p.base_vpn;
+    const uint64_t n = p.size_pages();
+    bool mapped_back =
+        p.base_vpn <= page_table_.size() && n <= page_table_.size() - p.base_vpn;
     if (mapped_back) {
       const PageIndex* span = page_table_.data() + p.base_vpn;
       PageIndex diff = 0;
@@ -808,43 +730,115 @@ bool MemorySystem::CheckConsistency(std::string* error) const {
       }
       mapped_back = diff == 0;
     }
-    if (!mapped_back) {
-      for (uint64_t j = 0; j < n; ++j) {
-        if (p.base_vpn + j >= page_table_.size() || page_table_[p.base_vpn + j] != i) {
-          return fail("page " + std::to_string(i) + " (vpn " +
-                      std::to_string(p.base_vpn) + " + " + std::to_string(j) +
-                      ") not mapped back by the page table");
-        }
+    for (uint64_t j = 0; !mapped_back && j < n; ++j) {
+      if (p.base_vpn + j >= page_table_.size() || page_table_[p.base_vpn + j] != i) {
+        return "page " + std::to_string(i) + " (vpn " + std::to_string(p.base_vpn) +
+               " + " + std::to_string(j) + ") not mapped back by the page table";
       }
     }
-    if (p.kind() == PageKind::kHuge) {
-      if (p.huge == nullptr) {
-        return fail("huge page " + std::to_string(i) + " has no HugePageMeta");
+    if (p.kind() == PageKind::kHuge && p.huge == nullptr) {
+      return "huge page " + std::to_string(i) + " has no HugePageMeta";
+    }
+    return {};
+  };
+
+  MemCensus c;
+  c.tenant_mapped_4k.assign(tenants_.size() * kNumTiers, 0);
+  if (hot_.size() != pages_.size()) {  // and slots past the arrays go unwalked
+    c.slot_error = "hot arrays sized " + std::to_string(hot_.size()) +
+                   " != page slots " + std::to_string(pages_.size());
+  }
+  const PageIndex slots = static_cast<PageIndex>(std::min(pages_.size(), hot_.size()));
+  for (PageIndex i = 0; i < slots; ++i) {
+    if (c.slot_error.empty()) {
+      c.slot_error = slot_fault(i);
+    }
+    const PageInfo& p = pages_[i];
+    if (!p.live) {
+      continue;
+    }
+    const bool huge = hot_.kind[i] == PageKind::kHuge;
+    const int tier = static_cast<int>(hot_.tier[i]);
+    const uint64_t n = huge ? kSubpagesPerHuge : 1;
+    ++c.live_pages;
+    c.mapped_4k += n;
+    c.mapped_4k_tier[tier] += n;
+    if (huge) {
+      ++c.live_huge_pages;
+      c.written_subpages += p.huge != nullptr ? CountSubpages(p.huge->written) : 0;
+    }
+    if (c.live_pages > live_pages_) {
+      continue;  // past ForEachLivePage's reach
+    }
+    if (p.tenant >= tenants_.size()) {
+      c.unregistered_owner.push_back(i);
+    } else {
+      c.tenant_mapped_4k[p.tenant * kNumTiers + tier] += n;
+    }
+    if (c.huge_faults.size() == MemCensus::kMaxHugeFaultPages) {
+      continue;
+    }
+    MemCensus::HugeFaultPage f{i, 0, 0, 0};
+    if (huge != (p.huge != nullptr)) {
+      f.faults = huge ? MemCensus::kNoMeta : MemCensus::kBaseWithMeta;
+    } else if (huge) {
+      // 32-bit lanes are exact while every counter is below 2^23 (512 of them
+      // then stay below 2^32); a larger counter takes the 64-bit sum.
+      const auto& counts = p.huge->subpage_count;
+      uint32_t sum = 0;
+      uint32_t any = 0;
+      for (uint32_t count : counts) {
+        sum += count;
+        any |= count;
+        f.nonzero += count != 0 ? 1 : 0;
       }
-      ++huge;
-      written += CountSubpages(p.huge->written);
+      f.subpage_sum = any < (1u << 23)
+                          ? sum
+                          : std::accumulate(counts.begin(), counts.end(), uint64_t{0});
+      f.faults = (p.base_vpn % kSubpagesPerHuge != 0 ? MemCensus::kUnaligned : 0) |
+                 (f.subpage_sum > hot_.access_count[i] ? MemCensus::kSubpageSum : 0) |
+                 (f.nonzero != p.huge->nonzero_subpages ? MemCensus::kNonzeroSummary : 0);
+    }
+    if (f.faults != 0) {
+      c.huge_faults.push_back(f);
     }
   }
-  if (mapped != mapped_4k_) {
-    return fail("recounted mapped 4k pages " + std::to_string(mapped) +
+  for (int t = 0; t < kNumTiers; ++t) {
+    tiers_[t].allocator().CheckConsistency(&c.buddy_error[t]);
+  }
+  return c;
+}
+
+bool MemorySystem::CheckConsistency(const MemCensus& census, std::string* error) const {
+  const auto fail = [error](std::string detail) {
+    if (error != nullptr) {
+      *error = std::move(detail);
+    }
+    return false;
+  };
+  if (!census.slot_error.empty()) {
+    return fail(census.slot_error);
+  }
+  if (census.mapped_4k != mapped_4k_) {
+    return fail("recounted mapped 4k pages " + std::to_string(census.mapped_4k) +
                 " != tracked " + std::to_string(mapped_4k_));
   }
-  if (live != live_pages_) {
-    return fail("recounted live pages " + std::to_string(live) + " != tracked " +
-                std::to_string(live_pages_));
+  if (census.live_pages != live_pages_) {
+    return fail("recounted live pages " + std::to_string(census.live_pages) +
+                " != tracked " + std::to_string(live_pages_));
   }
-  if (huge != huge_pages_) {
-    return fail("recounted huge pages " + std::to_string(huge) + " != tracked " +
-                std::to_string(huge_pages_));
+  if (census.live_huge_pages != huge_pages_) {
+    return fail("recounted huge pages " + std::to_string(census.live_huge_pages) +
+                " != tracked " + std::to_string(huge_pages_));
   }
-  if (written != written_subpages_) {
-    return fail("recounted written subpages " + std::to_string(written) +
+  if (census.written_subpages != written_subpages_) {
+    return fail("recounted written subpages " + std::to_string(census.written_subpages) +
                 " != tracked " + std::to_string(written_subpages_));
   }
   for (int t = 0; t < kNumTiers; ++t) {
-    if (mapped_tier[t] != mapped_4k_tier_[t]) {
+    if (census.mapped_4k_tier[t] != mapped_4k_tier_[t]) {
       return fail("recounted mapped 4k in tier " + std::to_string(t) + " " +
-                  std::to_string(mapped_tier[t]) + " != tracked " +
+                  std::to_string(census.mapped_4k_tier[t]) + " != tracked " +
                   std::to_string(mapped_4k_tier_[t]));
     }
   }
@@ -853,10 +847,10 @@ bool MemorySystem::CheckConsistency(std::string* error) const {
   for (size_t id = 0; id < tenants_.size(); ++id) {
     const TenantFrameStats& t = tenants_[id];
     for (int tier_i = 0; tier_i < kNumTiers; ++tier_i) {
-      if (tenant_tier[id * kNumTiers + tier_i] != t.mapped_4k_tier[tier_i]) {
+      const uint64_t recounted = census.tenant_mapped_4k[id * kNumTiers + tier_i];
+      if (recounted != t.mapped_4k_tier[tier_i]) {
         return fail("tenant " + std::to_string(id) + " recounted mapped 4k in tier " +
-                    std::to_string(tier_i) + " " +
-                    std::to_string(tenant_tier[id * kNumTiers + tier_i]) +
+                    std::to_string(tier_i) + " " + std::to_string(recounted) +
                     " != tracked " + std::to_string(t.mapped_4k_tier[tier_i]));
       }
     }
@@ -894,15 +888,15 @@ bool MemorySystem::CheckConsistency(std::string* error) const {
                 " allocated != " + std::to_string(huge_meta_pool_.size()) +
                 " pooled + " + std::to_string(huge_pages_) + " live");
   }
-  if (mapped + pinned_frames_ != tiers_[0].used_frames() + tiers_[1].used_frames()) {
-    return fail("mapped " + std::to_string(mapped) + " + pinned " +
+  if (census.mapped_4k + pinned_frames_ !=
+      tiers_[0].used_frames() + tiers_[1].used_frames()) {
+    return fail("mapped " + std::to_string(census.mapped_4k) + " + pinned " +
                 std::to_string(pinned_frames_) + " != used frames " +
                 std::to_string(tiers_[0].used_frames() + tiers_[1].used_frames()));
   }
-  std::string buddy_error;
-  for (const MemoryTier& tier : tiers_) {
-    if (!tier.allocator().CheckConsistency(&buddy_error)) {
-      return fail(tier.name() + " tier buddy allocator: " + buddy_error);
+  for (int t = 0; t < kNumTiers; ++t) {
+    if (!census.buddy_error[t].empty()) {
+      return fail(tiers_[t].name() + " tier buddy allocator: " + census.buddy_error[t]);
     }
   }
   return true;

@@ -151,6 +151,46 @@ struct TenantFrameStats {
   }
 };
 
+// One audit point's ground truth, rebuilt from first principles (page
+// metadata, hot arrays, page table, buddy free lists) by one walk over the
+// page slots. It never reads the counters it is checked against, and it is
+// never carried from one audit point to the next.
+struct MemCensus {
+  enum HugeFault : uint8_t {  // huge-page accounting faults of one page
+    kNoMeta = 1,          // huge page without HugePageMeta
+    kUnaligned = 2,       // huge page at a vpn that is not huge-aligned
+    kSubpageSum = 4,      // subpage counters sum past the page counter
+    kNonzeroSummary = 8,  // nonzero_subpages disagrees with the counters
+    kBaseWithMeta = 16,   // base page carrying HugePageMeta
+  };
+  struct HugeFaultPage {
+    PageIndex index;
+    uint8_t faults;        // HugeFault bits
+    uint64_t subpage_sum;  // over subpage_count (0 without meta)
+    uint32_t nonzero;      // nonzero subpage_count entries
+  };
+  static constexpr size_t kMaxHugeFaultPages = 4;  // no page named past 4 faults
+
+  // The first per-slot fault CheckConsistency reports; empty when none.
+  std::string slot_error;
+  // Over every live slot.
+  uint64_t live_pages = 0;
+  uint64_t mapped_4k = 0;
+  uint64_t mapped_4k_tier[kNumTiers] = {0, 0};
+  uint64_t live_huge_pages = 0;
+  uint64_t written_subpages = 0;
+  // Over the first live_page_count() live slots, as ForEachLivePage visits.
+  std::vector<uint64_t> tenant_mapped_4k;  // [tenant * kNumTiers + tier]
+  std::vector<PageIndex> unregistered_owner;
+  std::vector<HugeFaultPage> huge_faults;  // at most kMaxHugeFaultPages
+  // Each tier's BuddyAllocator::CheckConsistency message; empty when sound.
+  std::string buddy_error[kNumTiers];
+
+  uint64_t bloat_pages() const {
+    return live_huge_pages * kSubpagesPerHuge - written_subpages;
+  }
+};
+
 class MemorySystem {
  public:
   explicit MemorySystem(const MemoryConfig& config);
@@ -186,7 +226,6 @@ class MemorySystem {
     EnsureTenant(tenant);
     current_tenant_ = tenant;
   }
-  TenantId current_tenant() const { return current_tenant_; }
 
   // Registered tenants (ids 0 .. tenant_count()-1). Always >= 1: the default
   // tenant exists from construction.
@@ -218,10 +257,6 @@ class MemorySystem {
   uint64_t tenant_mapped_4k(TenantId tenant, TierId tier) const {
     return tenants_[tenant].mapped_4k_tier[static_cast<int>(tier)];
   }
-
-  // From-scratch recount of one tenant's mapped 4 KiB pages in `tier` (audit
-  // use; hot paths read the counters).
-  uint64_t RecountTenantMapped4k(TenantId tenant, TierId tier) const;
 
   // Start addresses of the live regions owned by `tenant`, in address order.
   // The scheduler frees these (via the engine, so policies observe the frees)
@@ -266,9 +301,6 @@ class MemorySystem {
   // byte-dense array instead of a PageInfo cache line.
   PageKind kind_of(PageIndex index) const { return hot_.kind[index]; }
   TierId tier_of(PageIndex index) const { return hot_.tier[index]; }
-  FrameId frame_of(PageIndex index) const { return hot_.frame[index]; }
-  uint64_t access_count_of(PageIndex index) const { return hot_.access_count[index]; }
-  uint64_t& access_count_of(PageIndex index) { return hot_.access_count[index]; }
   // Audit introspection: the arrays themselves (size == page_slots()).
   const PageHotArrays& hot_arrays() const { return hot_; }
   // Mutable view for bulk scans (e.g. the cooling pass halving every access
@@ -370,8 +402,8 @@ class MemorySystem {
   //
   // Maintained at MapPage/UnmapAndFree/Migrate/SplitHugePage/CollapseToHuge
   // so the per-snapshot metrics (huge_page_ratio, bloat_pages, per-tier
-  // mapped-4k) are O(1) instead of O(page slots). The Recount* methods below
-  // recompute each from the live page metadata; the audit layer
+  // mapped-4k) are O(1) instead of O(page slots). Each has a MemCensus field
+  // recomputed from the live page metadata; the audit layer
   // (src/audit/audit.cc, "incremental-counters") cross-checks them every tick.
 
   uint64_t live_huge_pages() const { return huge_pages_; }
@@ -394,15 +426,9 @@ class MemorySystem {
   }
   uint64_t pinned_frames_total() const { return pinned_frames_; }
 
-  // From-scratch recounts of the incremental counters above (O(page slots);
-  // audit/diagnostic use only — hot paths read the counters).
-  uint64_t RecountMapped4kInTier(TierId id) const;
-  uint64_t RecountLiveHugePages() const;
-  uint64_t RecountWrittenSubpages() const;
-  uint64_t RecountBloatPages() const;
-
-  // Number of live regions in the virtual address space.
-  uint64_t region_count() const { return regions_.size(); }
+  // One walk over every page slot plus both buddy audits (O(page slots +
+  // frames); audit/diagnostic use only — hot paths read the counters).
+  MemCensus TakeCensus() const;
 
   // Resident set size in 4 KiB frames (all app-allocated frames, both tiers;
   // excludes frames pinned by start-up fragmentation).
@@ -414,7 +440,9 @@ class MemorySystem {
   uint64_t fast_tier_pages() const { return tiers_[0].used_frames(); }
 
   // Never-written subpages currently held inside live huge pages (THP bloat).
-  uint64_t bloat_pages() const;
+  uint64_t bloat_pages() const {
+    return huge_pages_ * kSubpagesPerHuge - written_subpages_;
+  }
 
   // Clears the ground-truth per-subpage accessed bits (not the written bits).
   // Used by analyses that measure utilisation over a specific phase.
@@ -424,13 +452,14 @@ class MemorySystem {
   double huge_page_ratio() const;
 
   const MigrationStats& migration_stats() const { return migration_stats_; }
-  MigrationStats& mutable_migration_stats() { return migration_stats_; }
 
   // Consistency audit for tests and the runtime auditor: page table <-> pages
-  // <-> allocators agree. The diagnostic variant describes the first mismatch
-  // in `error` (unchanged when consistent).
-  bool CheckConsistency() const { return CheckConsistency(nullptr); }
-  bool CheckConsistency(std::string* error) const;
+  // <-> allocators agree, read from `census` (by default a fresh TakeCensus()).
+  // `error` names the first mismatch (unchanged when consistent).
+  bool CheckConsistency(std::string* error = nullptr) const {
+    return CheckConsistency(TakeCensus(), error);
+  }
+  bool CheckConsistency(const MemCensus& census, std::string* error) const;
 
   // --- Checkpointing (src/snapshot/) ------------------------------------------
   //

@@ -38,9 +38,6 @@ class MemoryTier {
   uint64_t total_frames() const { return allocator_.total_frames(); }
   uint64_t free_frames() const { return allocator_.free_frames(); }
   uint64_t used_frames() const { return allocator_.used_frames(); }
-  double usage_ratio() const {
-    return static_cast<double>(used_frames()) / static_cast<double>(total_frames());
-  }
 
  private:
   TierId id_;

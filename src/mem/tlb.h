@@ -8,6 +8,7 @@
 #ifndef MEMTIS_SIM_SRC_MEM_TLB_H_
 #define MEMTIS_SIM_SRC_MEM_TLB_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -64,24 +65,30 @@ class Tlb {
   void Flush();
 
   const TlbStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = TlbStats{}; }
 
   // Audit introspection: visits every currently valid entry as
   // fn(Vpn, PageKind). Base entries report the exact vpn; huge entries the
   // huge-aligned base vpn.
   template <typename Fn>
   void ForEachValidEntry(Fn&& fn) const {
-    for (const Vpn tag : base_tags_) {
-      if (tag != 0) {
-        fn(tag - 1, PageKind::kBase);
+    // Mostly idle tables are mostly zero tags: one OR skips a group of eight.
+    const auto scan = [](const std::vector<Vpn>& tags, auto&& visit) {
+      for (size_t i = 0; i < tags.size(); i += 8) {
+        const Vpn* t = tags.data() + i;
+        const size_t n = std::min<size_t>(8, tags.size() - i);
+        if (n == 8 && (t[0] | t[1] | t[2] | t[3] | t[4] | t[5] | t[6] | t[7]) == 0) {
+          continue;
+        }
+        for (size_t j = 0; j < n; ++j) {
+          if (t[j] != 0) {
+            visit(t[j]);
+          }
+        }
       }
-    }
-    for (const Vpn tag : huge_tags_) {
-      if (tag != 0) {
-        // Huge tags store the huge-page number; report the base vpn.
-        fn((tag - 1) << kHugeOrder, PageKind::kHuge);
-      }
-    }
+    };
+    scan(base_tags_, [&](Vpn tag) { fn(tag - 1, PageKind::kBase); });
+    // Huge tags store the huge-page number; report the base vpn.
+    scan(huge_tags_, [&](Vpn tag) { fn((tag - 1) << kHugeOrder, PageKind::kHuge); });
   }
 
   uint32_t base_capacity() const { return base_mask_ + 1; }

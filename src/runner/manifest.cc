@@ -79,13 +79,21 @@ ManifestWriter::~ManifestWriter() { Close(); }
 
 bool ManifestWriter::Open(const std::string& path, std::string* error) {
   Close();
-  file_ = std::fopen(path.c_str(), "a");
+  // "a+" so the last byte can be read: a writer killed mid-append leaves an
+  // unterminated record, and the first new one must not be glued to it.
+  file_ = std::fopen(path.c_str(), "a+");
   if (file_ == nullptr) {
     if (error != nullptr) {
       *error = "cannot open manifest for append: " + path + ": " +
                std::strerror(errno);
     }
     return false;
+  }
+  const bool torn = std::fseek(file_, -1, SEEK_END) == 0 && std::fgetc(file_) != '\n';
+  std::fseek(file_, 0, SEEK_END);  // a read may not run straight into a write
+  if (torn) {
+    std::fputc('\n', file_);
+    std::fflush(file_);
   }
   return true;
 }

@@ -115,6 +115,7 @@ class StateReader {
   }
   bool Bytes(void* p, size_t n) {
     if (!Need(n)) return false;
+    if (n == 0) return true;  // p may be null (an empty vector's data())
     std::memcpy(p, data_.data() + pos_, n);
     pos_ += n;
     return true;

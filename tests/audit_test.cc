@@ -7,6 +7,8 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/audit/audit.h"
 #include "src/audit/audit_session.h"
@@ -21,18 +23,20 @@ namespace memtis {
 namespace {
 
 // A small but real MEMTIS run whose post-run state the component checks audit.
+// The fast tier holds 1/fast_share of the btree footprint at `scale`.
 struct MemtisRun {
   std::unique_ptr<Workload> workload;
   MemtisConfig config;
   MemtisPolicy policy;
   Engine engine;
 
-  explicit MemtisRun(uint64_t accesses = 200'000, EngineObserver* audit = nullptr)
-      : workload(MakeWorkload("btree", 0.12)),
+  explicit MemtisRun(uint64_t accesses = 200'000, EngineObserver* audit = nullptr,
+                     double scale = 0.12, uint64_t fast_share = 3)
+      : workload(MakeWorkload("btree", scale)),
         config(MemtisConfig::ScaledDefaults(workload->footprint_bytes(),
-                                            workload->footprint_bytes() / 3)),
+                                            workload->footprint_bytes() / fast_share)),
         policy(config),
-        engine(MachineFor(*workload, 1.0 / 3.0), policy,
+        engine(MachineFor(*workload, 1.0 / static_cast<double>(fast_share)), policy,
                [&] {
                  EngineOptions opts;
                  opts.max_accesses = accesses;
@@ -353,6 +357,237 @@ TEST(InvariantAuditor, RunEndOnlyModeStillAudits) {
   EXPECT_EQ(auditor.report().ticks_audited, 0u);
   EXPECT_GT(auditor.report().checks_run, 0u);  // the run-end audit
   EXPECT_TRUE(auditor.report().ok());
+}
+
+// --- Pinned reports -------------------------------------------------------------
+//
+// One AuditNow over a seeded corruption, compared as the whole report document:
+// which invariants fire, in which order, with which text, and how many checks
+// ran. The literals were captured before the page-slot checks shared one
+// census, so any drift in what the fused checks report fails here.
+
+// The first live page (in slot order) that satisfies `pred`.
+template <typename Pred>
+PageIndex FirstLivePage(MemorySystem& mem, Pred pred) {
+  PageIndex found = kInvalidPage;
+  mem.ForEachLivePage([&](PageIndex index, PageInfo& page) {
+    if (found == kInvalidPage && pred(page)) {
+      found = index;
+    }
+  });
+  EXPECT_NE(found, kInvalidPage);
+  return found;
+}
+
+PageIndex FirstHugePage(MemorySystem& mem) {
+  return FirstLivePage(mem, [](const PageInfo& p) { return p.kind() == PageKind::kHuge; });
+}
+
+PageIndex FirstBasePage(MemorySystem& mem) {
+  return FirstLivePage(mem, [](const PageInfo& p) { return p.kind() == PageKind::kBase; });
+}
+
+// A run long enough for MEMTIS to have split most huge pages: ~3.7k live
+// pages, two of them still huge.
+struct SplitRun : MemtisRun {
+  SplitRun() : MemtisRun(1'000'000, nullptr, 0.25, 9) {}
+};
+
+// Runs every registered check (expensive ones included) once and returns the
+// report document.
+std::string AuditOnce(MemtisRun& run) {
+  InvariantAuditor auditor;
+  auditor.AuditNow(run.engine, /*include_expensive=*/true);
+  return auditor.report().ToJson();
+}
+
+TEST(PinnedReport, CleanState) {
+  SplitRun run;
+  EXPECT_EQ(AuditOnce(run),
+            R"j({"ok":true,"ticks_audited":0,"checks_run":17,"violations_total":0,"violations":[]})j");
+}
+
+TEST(PinnedReport, StaleNonzeroSubpageSummary) {
+  SplitRun run;
+  ++run.engine.mem().page(FirstHugePage(run.engine.mem())).huge->nonzero_subpages;
+  EXPECT_EQ(AuditOnce(run),
+            R"j({"ok":false,"ticks_audited":0,"checks_run":17,"violations_total":1,"violations":[{"invariant":"huge-page-accounting","detail":"huge page 1: nonzero-subpage summary 49 != recount 48 (the cooling scan-skip relies on this)","t_ns":191954192,"tick":0}]})j");
+}
+
+TEST(PinnedReport, InflatedSubpageCounter) {
+  SplitRun run;
+  run.engine.mem().page(FirstHugePage(run.engine.mem())).huge->subpage_count[0] +=
+      1'000'000;
+  EXPECT_EQ(AuditOnce(run),
+            R"j({"ok":false,"ticks_audited":0,"checks_run":17,"violations_total":3,"violations":[{"invariant":"huge-page-accounting","detail":"huge page 1: subpage counters sum 1000280 > page counter 303","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"huge-page-accounting","detail":"huge page 1: nonzero-subpage summary 48 != recount 49 (the cooling scan-skip relies on this)","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"memtis-histogram-full","detail":"base histogram bin 0: tracked 3654 units, recomputed 3653","t_ns":191954192,"tick":0}]})j");
+}
+
+// Counters whose sum needs more than 32 bits: the recount must stay exact.
+TEST(PinnedReport, SubpageCountersPastThirtyTwoBits) {
+  SplitRun run;
+  HugePageMeta& meta = *run.engine.mem().page(FirstHugePage(run.engine.mem())).huge;
+  meta.SetSubpageCount(0, UINT32_MAX);
+  meta.SetSubpageCount(1, 0x89abcdef);
+  meta.SetSubpageCount(2, UINT32_MAX);
+  EXPECT_EQ(AuditOnce(run),
+            R"j({"ok":false,"ticks_audited":0,"checks_run":17,"violations_total":2,"violations":[{"invariant":"huge-page-accounting","detail":"huge page 1: subpage counters sum 10899672837 > page counter 303","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"memtis-histogram-full","detail":"base histogram bin 0: tracked 3654 units, recomputed 3651","t_ns":191954192,"tick":0}]})j");
+}
+
+TEST(PinnedReport, LeakedBuddyFrame) {
+  SplitRun run;
+  ASSERT_TRUE(
+      run.engine.mem().tier(TierId::kCapacity).allocator().Allocate(0).has_value());
+  EXPECT_EQ(AuditOnce(run),
+            R"j({"ok":false,"ticks_audited":0,"checks_run":17,"violations_total":2,"violations":[{"invariant":"frame-conservation","detail":"capacity tier: 3263 mapped 4k pages + 0 pinned frames != 3264 used frames","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"page-table-mapping","detail":"mapped 4696 + pinned 0 != used frames 4697","t_ns":191954192,"tick":0}]})j");
+}
+
+TEST(PinnedReport, StrayFreeHead) {
+  SplitRun run;
+  MemorySystem& mem = run.engine.mem();
+  const PageInfo& page = mem.page(FirstBasePage(mem));
+  // A mapped frame queued as free: the lists now overstate free_frames().
+  mem.tier(page.tier()).allocator().TestOnlyPushFree(page.frame(), 0);
+  EXPECT_EQ(AuditOnce(run),
+            R"j({"ok":false,"ticks_audited":0,"checks_run":17,"violations_total":2,"violations":[{"invariant":"frame-conservation","detail":"capacity tier buddy allocator: free lists hold 12098 frames but free_frames() is 12097","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"page-table-mapping","detail":"capacity tier buddy allocator: free lists hold 12098 frames but free_frames() is 12097","t_ns":191954192,"tick":0}]})j");
+}
+
+TEST(PinnedReport, TierFlip) {
+  SplitRun run;
+  PageInfo& page = run.engine.mem().page(FirstHugePage(run.engine.mem()));
+  page.tier() = OtherTier(page.tier());
+  EXPECT_EQ(AuditOnce(run),
+            R"j({"ok":false,"ticks_audited":0,"checks_run":17,"violations_total":7,"violations":[{"invariant":"frame-conservation","detail":"fast tier: 921 mapped 4k pages + 0 pinned frames != 1433 used frames","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"frame-conservation","detail":"capacity tier: 3775 mapped 4k pages + 0 pinned frames != 3263 used frames","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"page-table-mapping","detail":"recounted mapped 4k in tier 0 921 != tracked 1433","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"incremental-counters","detail":"fast tier mapped-4k counter 1433 != recount 921","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"incremental-counters","detail":"capacity tier mapped-4k counter 3263 != recount 3775","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"tenant-conservation","detail":"tenant 0 tier 0 counter 1433 != recount 921","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"tenant-conservation","detail":"tenant 0 tier 1 counter 3263 != recount 3775","t_ns":191954192,"tick":0}]})j");
+}
+
+TEST(PinnedReport, ShiftedBaseVpn) {
+  SplitRun run;
+  run.engine.mem().page(FirstBasePage(run.engine.mem())).base_vpn += 1;
+  EXPECT_EQ(AuditOnce(run),
+            R"j({"ok":false,"ticks_audited":0,"checks_run":17,"violations_total":1,"violations":[{"invariant":"page-table-mapping","detail":"page 0 (vpn 1 + 0) not mapped back by the page table","t_ns":191954192,"tick":0}]})j");
+}
+
+TEST(PinnedReport, StaleTlbEntry) {
+  SplitRun run;
+  run.engine.tlb().Access(static_cast<Vpn>(1) << 40, PageKind::kBase);
+  EXPECT_EQ(AuditOnce(run),
+            R"j({"ok":false,"ticks_audited":0,"checks_run":17,"violations_total":2,"violations":[{"invariant":"tlb-coherence","detail":"stale base entry for unmapped vpn 1099511627776","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"tlb-access-ledger","detail":"961752 hits + 38425 misses != 1000176 accesses","t_ns":191954192,"tick":0}]})j");
+}
+
+TEST(PinnedReport, PageMovedToAnotherTenant) {
+  SplitRun run;
+  MemorySystem& mem = run.engine.mem();
+  mem.SetTenantFastQuota(1, UINT64_MAX);  // registers tenant 1, no quota
+  mem.page(FirstHugePage(mem)).tenant = 1;
+  EXPECT_EQ(AuditOnce(run),
+            R"j({"ok":false,"ticks_audited":0,"checks_run":17,"violations_total":3,"violations":[{"invariant":"page-table-mapping","detail":"tenant 0 recounted mapped 4k in tier 0 921 != tracked 1433","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"tenant-conservation","detail":"tenant 0 tier 0 counter 1433 != recount 921","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"tenant-conservation","detail":"tenant 1 tier 0 counter 0 != recount 512","t_ns":191954192,"tick":0}]})j");
+}
+
+TEST(PinnedReport, PageOwnedByUnregisteredTenant) {
+  SplitRun run;
+  MemorySystem& mem = run.engine.mem();
+  mem.page(FirstBasePage(mem)).tenant = 7;
+  EXPECT_EQ(AuditOnce(run),
+            R"j({"ok":false,"ticks_audited":0,"checks_run":17,"violations_total":2,"violations":[{"invariant":"page-table-mapping","detail":"page 0 owned by unregistered tenant 7","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"tenant-conservation","detail":"page 0 owned by unregistered tenant 7","t_ns":191954192,"tick":0}]})j");
+}
+
+TEST(PinnedReport, TwoCorruptionsKeepCrossCheckOrder) {
+  SplitRun run;
+  MemorySystem& mem = run.engine.mem();
+  PageInfo& base = mem.page(FirstBasePage(mem));
+  base.tier() = OtherTier(base.tier());
+  ++mem.page(FirstHugePage(mem)).huge->nonzero_subpages;
+  EXPECT_EQ(AuditOnce(run),
+            R"j({"ok":false,"ticks_audited":0,"checks_run":17,"violations_total":8,"violations":[{"invariant":"frame-conservation","detail":"fast tier: 1434 mapped 4k pages + 0 pinned frames != 1433 used frames","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"frame-conservation","detail":"capacity tier: 3262 mapped 4k pages + 0 pinned frames != 3263 used frames","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"page-table-mapping","detail":"recounted mapped 4k in tier 0 1434 != tracked 1433","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"huge-page-accounting","detail":"huge page 1: nonzero-subpage summary 49 != recount 48 (the cooling scan-skip relies on this)","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"incremental-counters","detail":"fast tier mapped-4k counter 1433 != recount 1434","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"incremental-counters","detail":"capacity tier mapped-4k counter 3263 != recount 3262","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"tenant-conservation","detail":"tenant 0 tier 0 counter 1433 != recount 1434","t_ns":191954192,"tick":0},)j"
+            R"j({"invariant":"tenant-conservation","detail":"tenant 0 tier 1 counter 3263 != recount 3262","t_ns":191954192,"tick":0}]})j");
+}
+
+// A huge page that lost its HugePageMeta is reported, not dereferenced: the
+// census counts no written subpages for it. (The expensive histogram
+// recompute reads subpage counters, so it stays out of this audit.)
+TEST(InvariantAuditor, HugePageWithoutMetaIsReportedNotDereferenced) {
+  SplitRun run;
+  MemorySystem& mem = run.engine.mem();
+  const PageIndex index = FirstHugePage(mem);
+  const uint64_t written = CountSubpages(mem.page(index).huge->written);
+  ASSERT_GT(written, 0u);
+  mem.page(index).huge.reset();
+  InvariantAuditor auditor;
+  auditor.AuditNow(run.engine, /*include_expensive=*/false);
+  const std::string page = std::to_string(index);
+  std::vector<std::pair<std::string, std::string>> got;
+  for (const AuditViolation& v : auditor.report().violations) {
+    got.emplace_back(v.invariant, v.detail);
+  }
+  const uint64_t tracked = mem.written_subpages();
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"page-table-mapping", "huge page " + page + " has no HugePageMeta"},
+      {"huge-page-accounting", "huge page " + page + " has no subpage metadata"},
+      {"incremental-counters", "written-subpage counter " + std::to_string(tracked) +
+                                   " != recount " + std::to_string(tracked - written)},
+      {"incremental-counters", "bloat_pages() " + std::to_string(mem.bloat_pages()) +
+                                   " != recount " +
+                                   std::to_string(mem.bloat_pages() + written)},
+  };
+  EXPECT_EQ(got, expected) << auditor.report().ToJson(2);
+}
+
+// Hot arrays shorter than the page slots are reported; the census walks no
+// slot past their end.
+TEST(AuditChecks, ShortHotArraysAreReportedNotIndexed) {
+  MemorySystem mem(MemoryConfig{.fast_frames = 2048, .capacity_frames = 2048});
+  AllocOptions base_pages;
+  base_pages.use_thp = false;
+  mem.AllocateRegion(kHugePageSize, base_pages);
+  const PageIndex slots = mem.page_slots();
+  mem.hot_arrays().Resize(slots - 1);
+  AuditReport report;
+  AuditCollector out(&report);
+  CheckFrameConservation(mem, out);
+  CheckPageTableMapping(mem, out);
+  CheckHugePageAccounting(mem, out);
+  CheckIncrementalCounters(mem, out);
+  CheckTenantConservation(mem, out);
+  ASSERT_EQ(ViolationsFor(report, "page-table-mapping"), 1) << report.ToJson(2);
+  for (const AuditViolation& v : report.violations) {
+    if (v.invariant == "page-table-mapping") {
+      EXPECT_EQ(v.detail, "hot arrays sized " + std::to_string(slots - 1) +
+                              " != page slots " + std::to_string(slots));
+    }
+  }
+}
+
+TEST(PinnedReportDeathTest, AbortModeStopsAtTheFirstViolation) {
+  SplitRun run;
+  MemorySystem& mem = run.engine.mem();
+  PageInfo& base = mem.page(FirstBasePage(mem));
+  base.tier() = OtherTier(base.tier());
+  ++mem.page(FirstHugePage(mem)).huge->nonzero_subpages;
+  InvariantAuditor::Options options;
+  options.abort_on_violation = true;
+  InvariantAuditor auditor(options);
+  EXPECT_DEATH(auditor.AuditNow(run.engine, /*include_expensive=*/true),
+               R"(AUDIT VIOLATION \[frame-conservation\] at t=191954192 ns tick=0: fast tier: 1434 mapped 4k pages \+ 0 pinned frames != 1433 used frames)");
 }
 
 // --- EpochRecorder ------------------------------------------------------------

@@ -118,7 +118,7 @@ TEST(Fuzz, MemorySystemRandomOps) {
   ASSERT_TRUE(report.ok()) << report.ToJson(2);
   // The pool must conserve buffers even after thousands of random ops.
   EXPECT_EQ(mem.huge_meta_allocated(),
-            mem.huge_meta_pooled() + mem.RecountLiveHugePages());
+            mem.huge_meta_pooled() + mem.TakeCensus().live_huge_pages);
 }
 
 TEST(Fuzz, ExchangeInterleavesWithEveryOtherMutation) {
@@ -224,7 +224,7 @@ TEST(Fuzz, ExchangeInterleavesWithEveryOtherMutation) {
   EXPECT_GT(stats.failed_exchanges, 0u);  // wrong-kind / wrong-tier picks
   EXPECT_EQ(stats.aborted_exchanges, 0u);
   EXPECT_EQ(mem.huge_meta_allocated(),
-            mem.huge_meta_pooled() + mem.RecountLiveHugePages());
+            mem.huge_meta_pooled() + mem.TakeCensus().live_huge_pages);
 }
 
 TEST(Fuzz, HugePageMetaPoolRecycles) {

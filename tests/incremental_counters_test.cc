@@ -1,9 +1,9 @@
 // The metric hot paths (huge_page_ratio, bloat_pages, per-tier mapped-4k)
 // are O(1) counters maintained at every page-table mutation. These tests pin
-// them to the from-scratch recounts the audit layer keeps around, across
-// randomized mutation sequences and full engine runs, so any future mutation
-// path that forgets to update a counter fails here rather than skewing
-// published metrics.
+// them to the audit layer's census and to a test-local oracle of per-counter
+// recounts, across randomized mutation sequences and full engine runs, so any
+// future mutation path that forgets to update a counter fails here rather
+// than skewing published metrics.
 
 #include <gtest/gtest.h>
 
@@ -19,16 +19,96 @@
 namespace memtis {
 namespace {
 
-// Asserts every incremental counter against its from-scratch recount.
+// --- Oracle -------------------------------------------------------------------
+//
+// One loop per counter, each walking every page slot through the public
+// accessors: the definition-level recounts the census must agree with.
+
+uint64_t RecountMapped4kInTier(MemorySystem& mem, TierId id) {
+  uint64_t mapped = 0;
+  for (PageIndex i = 0; i < mem.page_slots(); ++i) {
+    const PageInfo* p = mem.LivePageAt(i);
+    if (p != nullptr && p->tier() == id) {
+      mapped += p->size_pages();
+    }
+  }
+  return mapped;
+}
+
+uint64_t RecountTenantMapped4k(MemorySystem& mem, TenantId tenant, TierId id) {
+  uint64_t mapped = 0;
+  for (PageIndex i = 0; i < mem.page_slots(); ++i) {
+    const PageInfo* p = mem.LivePageAt(i);
+    if (p != nullptr && p->tenant == tenant && p->tier() == id) {
+      mapped += p->size_pages();
+    }
+  }
+  return mapped;
+}
+
+uint64_t RecountLiveHugePages(MemorySystem& mem) {
+  uint64_t huge = 0;
+  for (PageIndex i = 0; i < mem.page_slots(); ++i) {
+    const PageInfo* p = mem.LivePageAt(i);
+    if (p != nullptr && p->kind() == PageKind::kHuge) {
+      ++huge;
+    }
+  }
+  return huge;
+}
+
+uint64_t RecountWrittenSubpages(MemorySystem& mem) {
+  uint64_t written = 0;
+  for (PageIndex i = 0; i < mem.page_slots(); ++i) {
+    const PageInfo* p = mem.LivePageAt(i);
+    if (p != nullptr && p->kind() == PageKind::kHuge) {
+      written += p->huge->written.count();
+    }
+  }
+  return written;
+}
+
+uint64_t RecountBloatPages(MemorySystem& mem) {
+  uint64_t bloat = 0;
+  for (PageIndex i = 0; i < mem.page_slots(); ++i) {
+    const PageInfo* p = mem.LivePageAt(i);
+    if (p != nullptr && p->kind() == PageKind::kHuge) {
+      bloat += kSubpagesPerHuge - p->huge->written.count();
+    }
+  }
+  return bloat;
+}
+
+// Asserts census == oracle == tracked counter for every incremental counter.
 void ExpectCountersMatchRecounts(MemorySystem& mem) {
-  EXPECT_EQ(mem.live_huge_pages(), mem.RecountLiveHugePages());
-  EXPECT_EQ(mem.written_subpages(), mem.RecountWrittenSubpages());
-  EXPECT_EQ(mem.bloat_pages(), mem.RecountBloatPages());
+  const MemCensus census = mem.TakeCensus();
+  EXPECT_EQ(census.slot_error, "");
+  EXPECT_EQ(census.live_huge_pages, RecountLiveHugePages(mem));
+  EXPECT_EQ(mem.live_huge_pages(), census.live_huge_pages);
+  EXPECT_EQ(census.written_subpages, RecountWrittenSubpages(mem));
+  EXPECT_EQ(mem.written_subpages(), census.written_subpages);
+  EXPECT_EQ(census.bloat_pages(), RecountBloatPages(mem));
+  EXPECT_EQ(mem.bloat_pages(), census.bloat_pages());
+  uint64_t mapped = 0;
   for (int t = 0; t < kNumTiers; ++t) {
     const TierId tier = static_cast<TierId>(t);
-    EXPECT_EQ(mem.mapped_4k_in_tier(tier), mem.RecountMapped4kInTier(tier))
-        << "tier " << t;
+    EXPECT_EQ(census.mapped_4k_tier[t], RecountMapped4kInTier(mem, tier)) << "tier " << t;
+    EXPECT_EQ(mem.mapped_4k_in_tier(tier), census.mapped_4k_tier[t]) << "tier " << t;
+    mapped += census.mapped_4k_tier[t];
+    for (TenantId id = 0; id < mem.tenant_count(); ++id) {
+      const uint64_t recount = census.tenant_mapped_4k[id * kNumTiers + t];
+      EXPECT_EQ(recount, RecountTenantMapped4k(mem, id, tier))
+          << "tenant " << id << " tier " << t;
+      EXPECT_EQ(mem.tenant_mapped_4k(id, tier), recount)
+          << "tenant " << id << " tier " << t;
+    }
   }
+  EXPECT_EQ(census.mapped_4k, mapped);
+  EXPECT_EQ(mem.mapped_4k_pages(), census.mapped_4k);
+  EXPECT_EQ(mem.live_page_count(), census.live_pages);
+  EXPECT_TRUE(census.unregistered_owner.empty());
+  EXPECT_TRUE(census.huge_faults.empty());
+  EXPECT_EQ(census.buddy_error[0] + census.buddy_error[1], "");
   EXPECT_EQ(mem.huge_meta_allocated(),
             mem.huge_meta_pooled() + mem.live_huge_pages());
 }
@@ -161,15 +241,15 @@ TEST(IncrementalCounters, HugePageRatioAndBloatMatchScans) {
   for (uint64_t j = 0; j < 100; ++j) {
     mem.NoteSubpageAccess(hp, j, /*is_write=*/j % 2 == 0);
   }
-  EXPECT_EQ(mem.bloat_pages(), mem.RecountBloatPages());
+  EXPECT_EQ(mem.bloat_pages(), RecountBloatPages(mem));
   EXPECT_EQ(mem.bloat_pages(), 2 * kSubpagesPerHuge - 50);
 
   // Regions are huge-page-granular, so recount the denominator rather than
   // assuming the base region's mapped size.
-  const uint64_t mapped = mem.RecountMapped4kInTier(TierId::kFast) +
-                          mem.RecountMapped4kInTier(TierId::kCapacity);
+  const uint64_t mapped = RecountMapped4kInTier(mem, TierId::kFast) +
+                          RecountMapped4kInTier(mem, TierId::kCapacity);
   const double expect_ratio =
-      static_cast<double>(mem.RecountLiveHugePages() * kSubpagesPerHuge) /
+      static_cast<double>(RecountLiveHugePages(mem) * kSubpagesPerHuge) /
       static_cast<double>(mapped);
   EXPECT_EQ(mem.huge_page_ratio(), expect_ratio);
 }

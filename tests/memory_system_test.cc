@@ -200,7 +200,7 @@ TEST(MemorySystem, BloatAccountsUnwrittenHugeSubpages) {
   mem.NoteSubpageAccess(page, 4, /*is_write=*/true);
   mem.NoteSubpageAccess(page, 4, /*is_write=*/true);  // idempotent re-write
   EXPECT_EQ(mem.bloat_pages(), kSubpagesPerHuge - 2);
-  EXPECT_EQ(mem.bloat_pages(), mem.RecountBloatPages());
+  EXPECT_EQ(mem.bloat_pages(), mem.TakeCensus().bloat_pages());
 }
 
 TEST(MemorySystem, RegionAtFindsExtent) {

@@ -603,6 +603,25 @@ TEST(Manifest, ToleratesTruncatedTailAndDeduplicatesLastWins) {
   EXPECT_FALSE(b.ok);
   EXPECT_EQ(b.failure.kind, FailureKind::kTimeout);
   EXPECT_EQ(b.failure.signal, SIGKILL);
+
+  // A restarted run appends after the torn tail: the writer terminates it, so
+  // the tail stays the one skipped line and the new record loads.
+  SupervisedOutcome ok_b;
+  ok_b.ok = true;
+  ok_b.attempts = 3;
+  ok_b.result = RunJob(spec_b);
+  {
+    ManifestWriter writer;
+    ASSERT_TRUE(writer.Open(path));
+    writer.Append(JobFingerprint(spec_b), spec_b, ok_b);
+  }
+  std::map<std::string, ManifestEntry> resumed;
+  ASSERT_TRUE(LoadManifest(path, &resumed, &stats));
+  EXPECT_EQ(stats.lines_total, 5u);
+  EXPECT_EQ(stats.lines_skipped, 1u);
+  ASSERT_EQ(resumed.size(), 2u);
+  EXPECT_TRUE(resumed.at(JobFingerprint(spec_b)).ok);
+  EXPECT_EQ(resumed.at(JobFingerprint(spec_b)).attempts, 3);
   std::remove(path.c_str());
 }
 

@@ -149,6 +149,23 @@ TEST(Serializer, TruncatedStringLatchesError) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(Serializer, ZeroLengthBytesAcceptNullBuffers) {
+  // An empty vector's data() may be null on either side of a zero-length
+  // region; memcpy must never see it.
+  StateWriter w;
+  w.U32(7);
+  w.Bytes(nullptr, 0);
+  w.U32(9);
+  StateReader r(w.data());
+  EXPECT_EQ(r.U32(), 7u);
+  EXPECT_TRUE(r.Bytes(nullptr, 0));
+  EXPECT_EQ(r.U32(), 9u);
+  EXPECT_TRUE(r.Done());
+  StateReader latched("");
+  EXPECT_EQ(latched.U32(), 0u);
+  EXPECT_FALSE(latched.Bytes(nullptr, 0));  // a latched reader still fails
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot envelope + store.
 

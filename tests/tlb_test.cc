@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/common/rng.h"
 
 namespace memtis {
@@ -74,6 +77,41 @@ TEST(Tlb, FlushClearsEverything) {
   tlb.Flush();
   EXPECT_FALSE(tlb.Access(1, PageKind::kBase));
   EXPECT_FALSE(tlb.Access(512, PageKind::kHuge));
+}
+
+// ForEachValidEntry skips all-zero groups of eight tags; entries at group
+// edges, in a group with one live tag, and in tables smaller than a group
+// must all still be reported, in slot order.
+TEST(Tlb, ForEachValidEntryReportsEveryLiveTagInSlotOrder) {
+  using Entries = std::vector<std::pair<Vpn, PageKind>>;
+  const auto entries = [](const Tlb& tlb) {
+    Entries out;
+    tlb.ForEachValidEntry([&](Vpn vpn, PageKind kind) { out.emplace_back(vpn, kind); });
+    return out;
+  };
+  Tlb tlb;  // 2048 base slots, 128 huge slots
+  EXPECT_TRUE(entries(tlb).empty());
+  for (Vpn vpn : {2047, 0, 7, 8, 15, 1000}) {
+    tlb.Access(vpn, PageKind::kBase);
+  }
+  for (Vpn huge : {127, 0, 9}) {
+    tlb.Access(huge << kHugeOrder, PageKind::kHuge);
+  }
+  EXPECT_EQ(entries(tlb), (Entries{{0, PageKind::kBase},
+                                   {7, PageKind::kBase},
+                                   {8, PageKind::kBase},
+                                   {15, PageKind::kBase},
+                                   {1000, PageKind::kBase},
+                                   {2047, PageKind::kBase},
+                                   {0, PageKind::kHuge},
+                                   {9 << kHugeOrder, PageKind::kHuge},
+                                   {127 << kHugeOrder, PageKind::kHuge}}));
+
+  Tlb tiny(TlbConfig{.base_entries = 2, .huge_entries = 1});
+  tiny.Access(3, PageKind::kBase);
+  tiny.Access(5 << kHugeOrder, PageKind::kHuge);
+  EXPECT_EQ(entries(tiny),
+            (Entries{{3, PageKind::kBase}, {5 << kHugeOrder, PageKind::kHuge}}));
 }
 
 TEST(Tlb, LargeRangeShootdownScansWholeArray) {
