@@ -25,6 +25,11 @@
 //                         an ordinary audited tick) over a warmed MEMTIS engine
 //   audit_tick_expensive  the same with the expensive checks included (every
 //                         16th audited tick and the run-end audit)
+//   snapshot_save         one checkpoint of a mid-run btree/MEMTIS cell at 1:2:
+//                         payload build + file-image encode (CRC included),
+//                         no file I/O
+//   snapshot_restore      the matching resume: image decode + every
+//                         component's LoadState, no file I/O
 //   sweep_wallclock       a small multi-job runner sweep through the pool
 //
 // Usage: hotpath_bench [--smoke] [--benchmarks=a,b] [--repeat=N] [--out=FILE]
@@ -41,6 +46,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <memory>
@@ -54,10 +60,12 @@
 #include "src/common/rng.h"
 #include "src/memtis/memtis_policy.h"
 #include "src/memtis/policy_registry.h"
+#include "src/runner/checkpoint_runner.h"
 #include "src/runner/sweep.h"
 #include "src/runner/thread_pool.h"
 #include "src/sim/engine.h"
 #include "src/sim/sharded_engine.h"
+#include "src/snapshot/snapshot_file.h"
 #include "src/workloads/registry.h"
 
 #ifndef MEMTIS_PERF_BUILD_TYPE
@@ -358,6 +366,72 @@ PerfResult BenchAuditTickExpensive(bool smoke) {
                         smoke);
 }
 
+// A checkpointable cell as the runner builds one: btree at 1:2 (fast =
+// footprint / 3) and the runner's default footprint scale, run to
+// `accesses` (snapshot_* use half a campaign cell's 300k budget).
+struct SnapshotCell {
+  std::unique_ptr<Workload> workload;
+  std::unique_ptr<TieringPolicy> policy;
+  std::unique_ptr<Engine> engine;
+
+  explicit SnapshotCell(uint64_t accesses)
+      : workload(MakeWorkload("btree", BenchFootprintScale())) {
+    const uint64_t footprint = workload->footprint_bytes();
+    policy = MakePolicy("memtis", footprint, footprint / 3);
+    EngineOptions opts;
+    opts.max_accesses = accesses;
+    engine = std::make_unique<Engine>(
+        MakeNvmMachine(footprint / 3, footprint + footprint / 2), *policy, opts);
+    if (accesses != 0) {
+      engine->Run(*workload);
+    }
+  }
+};
+
+SnapshotBlob CellBlob(const SnapshotCell& cell) {
+  SnapshotBlob blob;
+  blob.fingerprint = "0123456789abcdef";
+  blob.sequence = 2;
+  blob.payload =
+      BuildSnapshotPayload(*cell.engine, *cell.policy, *cell.workload, nullptr);
+  return blob;
+}
+
+PerfResult BenchSnapshotSave(bool smoke) {
+  const uint64_t iters = smoke ? 2 : 300;
+  const SnapshotCell cell(smoke ? 20'000 : 150'000);
+  uint64_t bytes = 0;
+  const uint64_t t0 = MonotonicNowNs();
+  for (uint64_t i = 0; i < iters; ++i) {
+    bytes += EncodeSnapshot(CellBlob(cell)).size();
+  }
+  const uint64_t t1 = MonotonicNowNs();
+  Blackhole(bytes);
+  return PerfResult{"snapshot_save", "snapshot", iters, t1 - t0};
+}
+
+PerfResult BenchSnapshotRestore(bool smoke) {
+  const uint64_t iters = smoke ? 2 : 300;
+  const std::string image =
+      EncodeSnapshot(CellBlob(SnapshotCell(smoke ? 20'000 : 150'000)));
+  uint64_t timed_ns = 0;
+  for (uint64_t i = 0; i < iters; ++i) {
+    SnapshotCell fresh(0);  // built untimed, as a resuming child builds it
+    const uint64_t t0 = MonotonicNowNs();
+    SnapshotBlob blob;
+    const bool ok =
+        DecodeSnapshot(image, &blob, nullptr) &&
+        RestoreFromPayload(blob.payload, *fresh.engine, *fresh.policy,
+                           *fresh.workload, nullptr);
+    timed_ns += MonotonicNowNs() - t0;
+    if (!ok) {
+      std::fprintf(stderr, "snapshot_restore: the snapshot did not restore\n");
+      std::exit(1);
+    }
+  }
+  return PerfResult{"snapshot_restore", "snapshot", iters, timed_ns};
+}
+
 PerfResult BenchSweepWallclock(bool smoke) {
   SweepSpec sweep;
   sweep.systems = {"memtis", "hemem"};
@@ -397,6 +471,8 @@ constexpr Registered kBenchmarks[] = {
     {"zipf_sample", BenchZipfSample},
     {"audit_tick", BenchAuditTickCheap},
     {"audit_tick_expensive", BenchAuditTickExpensive},
+    {"snapshot_save", BenchSnapshotSave},
+    {"snapshot_restore", BenchSnapshotRestore},
     {"sweep_wallclock", BenchSweepWallclock},
 };
 

@@ -132,8 +132,10 @@ echo "== ninth pass: checkpoint kill-storm under ASan/UBSan =="
 # units, the kill-anywhere differentials (supervised local and the 4-worker
 # socket campaign, storm + auditor included), the snapshot-loader corruption
 # fuzzers, and the real-SIGKILL smoke script — so every snapshot write,
-# restore, quarantine, and resumed fork path is leak- and UB-checked.
+# restore, quarantine, and resumed fork path is leak- and UB-checked. The
+# buddy allocator's snapshot cases run here too: its loader indexes the
+# free-list links with frame ids read from the payload.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" \
-    -R '(Serializer\.|SnapshotFile\.|SnapshotStore\.|Checkpoint\.|smoke_checkpoint)'
+    -R '(Serializer\.|SnapshotFile\.|SnapshotStore\.|Checkpoint\.|BuddySnapshot\.|smoke_checkpoint)'
 "$BUILD_DIR/tests/fuzz_test" --gtest_filter='Fuzz.Snapshot*'
 echo "checkpoint kill-storm pass: clean"

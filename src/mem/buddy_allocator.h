@@ -8,6 +8,7 @@
 #ifndef MEMTIS_SIM_SRC_MEM_BUDDY_ALLOCATOR_H_
 #define MEMTIS_SIM_SRC_MEM_BUDDY_ALLOCATOR_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -59,19 +60,29 @@ class BuddyAllocator {
   std::array<uint64_t, kMaxOrder + 1> FreeBlockCounts() const;
 
   // Checkpointing. Free-list *order* matters for determinism (Allocate pops
-  // the head), so links_/state_/heads are serialized verbatim rather than
-  // re-derived. total_frames_ is configuration — the loader cross-checks it
-  // and rejects a mismatched snapshot.
+  // the head), so each list is saved head to tail — a count, then its frame
+  // ids — and relinked in that order; links_ is meaningful only for listed
+  // frames, so it is not saved. state_ is saved verbatim. total_frames_ is
+  // configuration — the loader cross-checks it and rejects a mismatched
+  // snapshot, as it does any count or frame id past the tier. The loader
+  // never consults state_ to decide which links to rebuild: the lists
+  // restore exactly as saved, and CheckConsistency judges the pair.
   template <typename Writer>
   void SaveState(Writer& w) const {
     w.U64(total_frames_);
     w.U64(free_frames_);
-    for (FrameId head : free_head_) w.U64(head);
-    for (const Block& b : links_) {
-      w.U64(b.next);
-      w.U64(b.prev);
-    }
     w.Bytes(state_.data(), state_.size());
+    for (FrameId head : free_head_) {
+      uint64_t count = 0;  // bounded: a cyclic list cannot run away
+      for (FrameId f = head; f != kNil && count < total_frames_; f = links_[f].next) {
+        ++count;
+      }
+      w.U64(count);
+      FrameId f = head;
+      for (uint64_t i = 0; i < count; ++i, f = links_[f].next) {
+        w.U64(f);
+      }
+    }
   }
   template <typename Reader>
   void LoadState(Reader& r) {
@@ -80,12 +91,27 @@ class BuddyAllocator {
       return;
     }
     free_frames_ = r.U64();
-    for (FrameId& head : free_head_) head = r.U64();
-    for (Block& b : links_) {
-      b.next = r.U64();
-      b.prev = r.U64();
-    }
     r.Bytes(state_.data(), state_.size());
+    std::fill(links_.begin(), links_.end(), Block{kNil, kNil});
+    for (FrameId& head : free_head_) {
+      head = kNil;
+      const uint64_t count = r.U64();
+      if (count > total_frames_) {
+        r.Fail();
+        return;
+      }
+      FrameId tail = kNil;
+      for (uint64_t i = 0; i < count; ++i) {
+        const FrameId f = r.U64();
+        if (f >= total_frames_) {
+          r.Fail();
+          return;
+        }
+        links_[f] = Block{kNil, tail};
+        (tail == kNil ? head : links_[tail].next) = f;
+        tail = f;
+      }
+    }
   }
 
  private:

@@ -977,10 +977,8 @@ void MemorySystem::SaveState(StateWriter& w) const {
     w.Bool(p.huge != nullptr);
     if (p.huge != nullptr) {
       for (uint32_t c : p.huge->subpage_count) w.U32(c);
-      const std::string accessed = p.huge->accessed.to_string();
-      const std::string written = p.huge->written.to_string();
-      w.Str(accessed);
-      w.Str(written);
+      for (uint64_t word : SubpageWords(p.huge->accessed)) w.U64(word);
+      for (uint64_t word : SubpageWords(p.huge->written)) w.U64(word);
       w.U32(p.huge->nonzero_subpages);
     }
   }
@@ -1081,15 +1079,11 @@ void MemorySystem::LoadState(StateReader& r) {
     if (r.Bool()) {
       p.huge = std::make_unique<HugePageMeta>();
       for (uint32_t& c : p.huge->subpage_count) c = r.U32();
-      const std::string accessed = r.Str();
-      const std::string written = r.Str();
-      if (accessed.size() != kSubpagesPerHuge ||
-          written.size() != kSubpagesPerHuge) {
-        r.Fail();
-        return;
-      }
-      p.huge->accessed = std::bitset<kSubpagesPerHuge>(accessed);
-      p.huge->written = std::bitset<kSubpagesPerHuge>(written);
+      std::array<uint64_t, kSubpageWords> words;
+      for (uint64_t& word : words) word = r.U64();
+      p.huge->accessed = SubpagesFromWords(words);
+      for (uint64_t& word : words) word = r.U64();
+      p.huge->written = SubpagesFromWords(words);
       p.huge->nonzero_subpages = r.U32();
     }
   }

@@ -10,6 +10,7 @@
 #define MEMTIS_SIM_SRC_MEM_PAGE_H_
 
 #include <array>
+#include <bit>
 #include <bitset>
 #include <cstdint>
 #include <cstring>
@@ -21,16 +22,30 @@
 
 namespace memtis {
 
+inline constexpr size_t kSubpageWords = kSubpagesPerHuge / 64;
+static_assert(kSubpagesPerHuge % 64 == 0 &&
+                  sizeof(std::bitset<kSubpagesPerHuge>) == kSubpageWords * sizeof(uint64_t) &&
+                  std::is_trivially_copyable_v<std::bitset<kSubpagesPerHuge>>,
+              "bitset<512> must be eight plain words");
+
+// A subpage bitset as its eight words, subpage 64k+b at bit b of word k: the
+// layout libstdc++ and libc++ both give std::bitset. Snapshots store these
+// words (MemorySystem::SaveState); a test pins the layout.
+inline std::array<uint64_t, kSubpageWords> SubpageWords(
+    const std::bitset<kSubpagesPerHuge>& set) {
+  return std::bit_cast<std::array<uint64_t, kSubpageWords>>(set);
+}
+
+inline std::bitset<kSubpagesPerHuge> SubpagesFromWords(
+    const std::array<uint64_t, kSubpageWords>& words) {
+  return std::bit_cast<std::bitset<kSubpagesPerHuge>>(words);
+}
+
 // Number of set bits in a subpage bitset. Same value as set.count(), but the
 // x86-64 baseline has no POPCNT, so count() makes one libgcc call per word;
 // this copies the set's eight words out and counts them with shifts and masks.
 inline uint32_t CountSubpages(const std::bitset<kSubpagesPerHuge>& set) {
-  constexpr size_t kWords = kSubpagesPerHuge / 64;
-  static_assert(kSubpagesPerHuge % 64 == 0 &&
-                    sizeof(std::bitset<kSubpagesPerHuge>) == kWords * sizeof(uint64_t) &&
-                    std::is_trivially_copyable_v<std::bitset<kSubpagesPerHuge>>,
-                "bitset<512> must be eight plain words");
-  uint64_t words[kWords];
+  uint64_t words[kSubpageWords];
   std::memcpy(words, &set, sizeof(words));
   uint64_t bytes = 0;  // per-byte counts: <= 8 per word, <= 64 over all eight
   for (uint64_t w : words) {

@@ -16,49 +16,6 @@
 namespace memtis {
 namespace {
 
-// Serialization order of one snapshot payload. The engine section embeds the
-// full MemorySystem; policy and workload follow; the audit session closes the
-// stream (presence-flagged so plain and MEMTIS_AUDIT=1 runs both checkpoint).
-std::string BuildSnapshotPayload(const Engine& engine,
-                                 const TieringPolicy& policy,
-                                 const Workload& workload,
-                                 const AuditSession* audit) {
-  StateWriter w;
-  engine.SaveState(w);
-  policy.SaveState(w);
-  workload.SaveState(w);
-  w.Bool(audit != nullptr);
-  if (audit != nullptr) {
-    audit->SaveState(w);
-  }
-  return w.Take();
-}
-
-// Restores a payload into freshly constructed components. Returns false (and
-// leaves the components unusable — the caller rebuilds from scratch) on any
-// mismatch: section-marker skew, config drift caught by a LoadState
-// cross-check, trailing garbage, or audit-presence disagreement.
-bool RestoreFromPayload(const std::string& payload, Engine& engine,
-                        TieringPolicy& policy, Workload& workload,
-                        AuditSession* audit) {
-  StateReader r(payload);
-  engine.LoadState(r);
-  // Init() before LoadState: policies re-attach engine-owned resources (the
-  // sampler's fault injector) there; LoadState then overwrites whatever
-  // defaults Init reset.
-  policy.Init(engine.ctx());
-  policy.LoadState(r);
-  workload.LoadState(r);
-  const bool had_audit = r.Bool();
-  if (had_audit != (audit != nullptr)) {
-    return false;
-  }
-  if (audit != nullptr) {
-    audit->LoadState(r);
-  }
-  return r.Done();
-}
-
 struct Cell {
   std::unique_ptr<Workload> workload;
   std::unique_ptr<TieringPolicy> policy;
@@ -115,6 +72,45 @@ Cell BuildCell(const JobSpec& spec) {
 }
 
 }  // namespace
+
+// Serialization order: the engine section embeds the full MemorySystem;
+// policy and workload follow; the audit session closes the stream
+// (presence-flagged so plain and MEMTIS_AUDIT=1 runs both checkpoint).
+std::string BuildSnapshotPayload(const Engine& engine,
+                                 const TieringPolicy& policy,
+                                 const Workload& workload,
+                                 const AuditSession* audit) {
+  StateWriter w;
+  engine.SaveState(w);
+  policy.SaveState(w);
+  workload.SaveState(w);
+  w.Bool(audit != nullptr);
+  if (audit != nullptr) {
+    audit->SaveState(w);
+  }
+  return w.Take();
+}
+
+bool RestoreFromPayload(const std::string& payload, Engine& engine,
+                        TieringPolicy& policy, Workload& workload,
+                        AuditSession* audit) {
+  StateReader r(payload);
+  engine.LoadState(r);
+  // Init() before LoadState: policies re-attach engine-owned resources (the
+  // sampler's fault injector) there; LoadState then overwrites whatever
+  // defaults Init reset.
+  policy.Init(engine.ctx());
+  policy.LoadState(r);
+  workload.LoadState(r);
+  const bool had_audit = r.Bool();
+  if (had_audit != (audit != nullptr)) {
+    return false;
+  }
+  if (audit != nullptr) {
+    audit->LoadState(r);
+  }
+  return r.Done();
+}
 
 bool CheckpointSupported(const JobSpec& spec, std::string* why) {
   if (spec.shards > 1) {

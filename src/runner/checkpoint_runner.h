@@ -40,6 +40,26 @@ namespace memtis {
 // non-null, receives a one-line reason on refusal.
 bool CheckpointSupported(const JobSpec& spec, std::string* why = nullptr);
 
+class AuditSession;
+class Engine;
+class TieringPolicy;
+class Workload;
+
+// One snapshot payload: the complete state of a cell's components (`audit`
+// may be null).
+std::string BuildSnapshotPayload(const Engine& engine,
+                                 const TieringPolicy& policy,
+                                 const Workload& workload,
+                                 const AuditSession* audit);
+
+// Restores a payload into freshly constructed components. Returns false (and
+// leaves the components unusable — the caller rebuilds from scratch) on any
+// mismatch: section-marker skew, config drift caught by a LoadState
+// cross-check, trailing garbage, or audit-presence disagreement.
+bool RestoreFromPayload(const std::string& payload, Engine& engine,
+                        TieringPolicy& policy, Workload& workload,
+                        AuditSession* audit);
+
 // Where RunJobCheckpointed keeps (and looks for) its snapshots.
 struct CheckpointContext {
   // Virtual nanoseconds between snapshots (must be > 0).

@@ -1,13 +1,12 @@
 #include "src/snapshot/snapshot_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "src/snapshot/serializer.h"
 
@@ -18,12 +17,20 @@ namespace {
 constexpr char kMagic[4] = {'M', 'T', 'S', 'P'};
 
 bool ReadWholeFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return in.good() || in.eof();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st;
+  bool ok = ::fstat(fd, &st) == 0;
+  if (ok) out->resize(static_cast<size_t>(st.st_size));
+  size_t off = 0;
+  while (ok && off < out->size()) {
+    const ssize_t n = ::read(fd, out->data() + off, out->size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    ok = n > 0;  // 0 before the end: the file shrank under us
+    if (ok) off += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  return ok;
 }
 
 void Quarantine(const std::string& path) {
@@ -32,22 +39,30 @@ void Quarantine(const std::string& path) {
   ::rename(path.c_str(), corrupt.c_str());
 }
 
+// The file image of one snapshot, built in a single buffer sized up front.
+std::string EncodeImage(std::string_view fingerprint, uint32_t attempt,
+                        uint64_t sequence, std::string_view payload) {
+  // Str(fingerprint) | attempt u32 | sequence u64 | Str(payload)
+  const uint64_t body_len =
+      8 + fingerprint.size() + 4 + 8 + 8 + payload.size();
+  StateWriter file;
+  file.Reserve(sizeof(kMagic) + 4 + 8 + body_len + 4);
+  file.Bytes(kMagic, sizeof(kMagic));
+  file.U32(kSnapshotVersion);
+  file.U64(body_len);
+  file.Str(fingerprint);
+  file.U32(attempt);
+  file.U64(sequence);
+  file.Str(payload);
+  file.U32(Crc32(file.data()));
+  return file.Take();
+}
+
 }  // namespace
 
 std::string EncodeSnapshot(const SnapshotBlob& blob) {
-  StateWriter body;
-  body.Str(blob.fingerprint);
-  body.U32(blob.attempt);
-  body.U64(blob.sequence);
-  body.Str(blob.payload);
-
-  StateWriter file;
-  file.Bytes(kMagic, sizeof(kMagic));
-  file.U32(kSnapshotVersion);
-  file.U64(body.data().size());
-  file.Bytes(body.data().data(), body.data().size());
-  file.U32(Crc32(file.data()));
-  return file.Take();
+  return EncodeImage(blob.fingerprint, blob.attempt, blob.sequence,
+                     blob.payload);
 }
 
 bool DecodeSnapshot(std::string_view image, SnapshotBlob* out,
@@ -123,36 +138,41 @@ std::string SnapshotStore::SlotPath(const std::string& base, int slot) {
   return base + ".s" + std::to_string(slot);
 }
 
-void SnapshotStore::Probe() {
-  if (probed_) return;
-  probed_ = true;
+std::array<SnapshotStore::SlotRead, 2> SnapshotStore::ReadSlots(
+    bool quarantine) {
+  std::array<SlotRead, 2> slots;
   uint64_t best_seq = 0;
   int best_slot = -1;
   for (int slot = 0; slot < 2; ++slot) {
+    SlotRead& s = slots[slot];
+    const std::string path = SlotPath(base_, slot);
     std::string image;
-    SnapshotBlob blob;
-    std::string err;
-    if (!ReadWholeFile(SlotPath(base_, slot), &image)) continue;
-    if (!DecodeSnapshot(image, &blob, &err)) continue;
-    if (blob.sequence > best_seq) {
-      best_seq = blob.sequence;
+    s.present = ReadWholeFile(path, &image);
+    if (!s.present) continue;
+    s.valid = DecodeSnapshot(image, &s.blob, &s.error);
+    if (!s.valid) {
+      if (quarantine) Quarantine(path);
+      continue;
+    }
+    if (s.blob.sequence > best_seq) {
+      best_seq = s.blob.sequence;
       best_slot = slot;
     }
   }
-  next_sequence_ = best_seq + 1;
-  // Never overwrite the newest valid snapshot; rotate into the other slot.
-  next_slot_ = best_slot == 0 ? 1 : 0;
+  if (!probed_) {
+    probed_ = true;
+    next_sequence_ = best_seq + 1;
+    // Never overwrite the newest valid snapshot; rotate into the other slot.
+    next_slot_ = best_slot == 0 ? 1 : 0;
+  }
+  return slots;
 }
 
 bool SnapshotStore::Write(const std::string& fingerprint, uint32_t attempt,
-                          std::string payload, std::string* error) {
-  Probe();
-  SnapshotBlob blob;
-  blob.fingerprint = fingerprint;
-  blob.attempt = attempt;
-  blob.sequence = next_sequence_;
-  blob.payload = std::move(payload);
-  if (!WriteFileAtomic(SlotPath(base_, next_slot_), EncodeSnapshot(blob),
+                          std::string_view payload, std::string* error) {
+  if (!probed_) ReadSlots(/*quarantine=*/false);
+  if (!WriteFileAtomic(SlotPath(base_, next_slot_),
+                       EncodeImage(fingerprint, attempt, next_sequence_, payload),
                        error))
     return false;
   ++next_sequence_;
@@ -163,28 +183,23 @@ bool SnapshotStore::Write(const std::string& fingerprint, uint32_t attempt,
 bool SnapshotStore::LoadNewest(const std::string& fingerprint,
                                uint32_t attempt, SnapshotBlob* out,
                                std::string* why) {
-  uint64_t best_seq = 0;
   bool found = false;
   std::string reasons;
+  std::array<SlotRead, 2> slots = ReadSlots(/*quarantine=*/true);
   for (int slot = 0; slot < 2; ++slot) {
-    const std::string path = SlotPath(base_, slot);
-    std::string image;
-    if (!ReadWholeFile(path, &image)) continue;
-    SnapshotBlob blob;
-    std::string err;
-    if (!DecodeSnapshot(image, &blob, &err)) {
-      reasons += "slot " + std::to_string(slot) + " quarantined (" + err +
+    SlotRead& s = slots[slot];
+    if (!s.present) continue;
+    if (!s.valid) {
+      reasons += "slot " + std::to_string(slot) + " quarantined (" + s.error +
                  "); ";
-      Quarantine(path);
       continue;
     }
-    if (blob.fingerprint != fingerprint || blob.attempt != attempt) {
+    if (s.blob.fingerprint != fingerprint || s.blob.attempt != attempt) {
       reasons += "slot " + std::to_string(slot) + " stale; ";
       continue;
     }
-    if (!found || blob.sequence > best_seq) {
-      best_seq = blob.sequence;
-      *out = std::move(blob);
+    if (!found || s.blob.sequence > out->sequence) {
+      *out = std::move(s.blob);
       found = true;
     }
   }

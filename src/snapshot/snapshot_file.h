@@ -20,13 +20,14 @@
 #ifndef MEMTIS_SIM_SRC_SNAPSHOT_SNAPSHOT_FILE_H_
 #define MEMTIS_SIM_SRC_SNAPSHOT_SNAPSHOT_FILE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 namespace memtis {
 
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 struct SnapshotBlob {
   std::string fingerprint;  // cell identity — must match to restore
@@ -58,15 +59,15 @@ class SnapshotStore {
 
   // Persists a new snapshot for (fingerprint, attempt). The sequence number
   // is assigned internally; the write lands in the slot not holding the
-  // newest valid snapshot. Returns false on I/O failure.
+  // newest valid snapshot (of any identity). Returns false on I/O failure.
   bool Write(const std::string& fingerprint, uint32_t attempt,
-             std::string payload, std::string* error);
+             std::string_view payload, std::string* error);
 
   // Loads the newest valid snapshot matching (fingerprint, attempt).
   // Corrupt slot files are renamed to "<slot>.corrupt"; valid-but-stale
   // snapshots (other fingerprint or attempt) are skipped without quarantine.
   // Returns false when nothing usable exists; *why (optional) says what was
-  // found instead.
+  // found instead. The same scan seeds the next Write's slot and sequence.
   bool LoadNewest(const std::string& fingerprint, uint32_t attempt,
                   SnapshotBlob* out, std::string* why = nullptr);
 
@@ -76,7 +77,16 @@ class SnapshotStore {
   static std::string SlotPath(const std::string& base, int slot);
 
  private:
-  void Probe();  // scans slots once to seed next_slot_/next_sequence_
+  struct SlotRead {
+    bool present = false;  // the slot file exists and could be read
+    bool valid = false;    // ... and decoded; else `error` says why not
+    std::string error;
+    SnapshotBlob blob;
+  };
+  // Reads and decodes both slots, quarantining undecodable ones when asked,
+  // and on the store's first scan seeds next_slot_/next_sequence_ from the
+  // newest decodable slot.
+  std::array<SlotRead, 2> ReadSlots(bool quarantine);
 
   std::string base_;
   bool probed_ = false;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/snapshot/serializer.h"
 
 namespace memtis {
 namespace {
@@ -312,6 +313,137 @@ TEST(BuddyConsistency, StrayHeadsMissingFromTheirListsAreReported) {
                                   std::to_string(listed) + " blocks")
         << strays << " strays";
   }
+}
+
+// --- Snapshot format: free lists, not per-frame links --------------------------
+
+using Held = std::vector<std::pair<FrameId, int>>;
+
+// One random Allocate or Free, applied with the same arguments to every
+// allocator in `twins`; a twin whose Allocate result differs from the first's
+// fails the test.
+void ChurnStep(const std::vector<BuddyAllocator*>& twins, Held& held, Rng& rng) {
+  if (held.empty() || rng.NextBool(0.55)) {
+    const int order = rng.NextBool(0.1) ? BuddyAllocator::kMaxOrder
+                                        : static_cast<int>(rng.NextBelow(5));
+    const std::optional<FrameId> frame = twins[0]->Allocate(order);
+    for (size_t i = 1; i < twins.size(); ++i) {
+      EXPECT_EQ(twins[i]->Allocate(order), frame) << "order " << order;
+    }
+    if (frame.has_value()) {
+      held.emplace_back(*frame, order);
+    }
+    return;
+  }
+  const size_t pick = rng.NextBelow(held.size());
+  const auto [frame, order] = held[pick];
+  for (BuddyAllocator* twin : twins) {
+    twin->Free(frame, order);
+  }
+  held[pick] = held.back();
+  held.pop_back();
+}
+
+TEST(BuddySnapshot, RoundTripRestoresListsAndFutureAllocations) {
+  constexpr uint64_t kFrames = 8192;
+  BuddyAllocator original(kFrames);
+  Held held;
+  Rng rng(77);
+  for (int step = 0; step < 3000; ++step) {
+    ChurnStep({&original}, held, rng);
+  }
+  const auto counts = original.FreeBlockCounts();
+  uint64_t blocks = 0;
+  int nonempty_orders = 0;
+  for (uint64_t n : counts) {
+    blocks += n;
+    nonempty_orders += n != 0;
+  }
+  ASSERT_GE(nonempty_orders, 4) << "churn left too few orders fragmented";
+
+  StateWriter w;
+  original.SaveState(w);
+  // total + free + one state byte per frame + per order a count and its ids.
+  EXPECT_EQ(w.data().size(),
+            8 + 8 + kFrames + 8 * (BuddyAllocator::kMaxOrder + 1 + blocks));
+  BuddyAllocator restored(kFrames);
+  StateReader r(w.data());
+  restored.LoadState(r);
+  ASSERT_TRUE(r.Done());
+  EXPECT_EQ(restored.FreeBlockCounts(), counts);
+  EXPECT_EQ(restored.free_frames(), original.free_frames());
+  std::string error;
+  EXPECT_TRUE(restored.CheckConsistency(&error)) << error;
+  StateWriter again;
+  restored.SaveState(again);
+  EXPECT_EQ(again.data(), w.data());
+
+  // Free-list order survived: the restored allocator and the un-restored
+  // twin hand out the same frames from here on.
+  for (int step = 0; step < 1000; ++step) {
+    ChurnStep({&original, &restored}, held, rng);
+    if (HasFailure()) {
+      FAIL() << "twins diverged at step " << step;
+    }
+  }
+  EXPECT_EQ(restored.FreeBlockCounts(), original.FreeBlockCounts());
+  EXPECT_TRUE(restored.CheckConsistency(&error)) << error;
+}
+
+TEST(BuddySnapshot, OutOfRangeCountsAndFrameIdsLatchFail) {
+  constexpr uint64_t kFrames = 1024;
+  BuddyAllocator buddy(kFrames);
+  for (int i = 0; i < 3; ++i) {
+    buddy.Allocate(0);  // leaves one free order-0 block
+  }
+  BuddyStateImage saved;
+  BuddyImageWriter writer{&saved};
+  buddy.SaveState(writer);
+  // words: total_frames, free_frames, then per order a count and its ids.
+  ASSERT_EQ(saved.words[2], 1u);  // order 0 holds one block...
+  constexpr size_t kCount = 2;
+  constexpr size_t kFirstId = 3;  // ...whose id follows its count
+
+  const auto load = [&](size_t word, uint64_t value) {
+    BuddyStateImage image = saved;
+    if (word < image.words.size()) {
+      image.words[word] = value;
+    }
+    BuddyAllocator fresh(kFrames);
+    BuddyImageReader reader{&image};
+    fresh.LoadState(reader);
+    return image.failed;
+  };
+  EXPECT_FALSE(load(saved.words.size(), 0)) << "unedited image must load";
+  // The loader checks before it indexes its links (ASan pins the "before"),
+  // so none of these may touch memory past the tier.
+  EXPECT_TRUE(load(kCount, kFrames + 1));
+  EXPECT_TRUE(load(kCount, ~0ULL));
+  EXPECT_TRUE(load(kFirstId, kFrames));
+  EXPECT_TRUE(load(kFirstId, 1ULL << 60));
+  EXPECT_TRUE(load(kFirstId, ~0ULL));
+  // A wrong tier size is rejected before anything else is read.
+  EXPECT_TRUE(load(0, kFrames * 2));
+
+  // A list longer than the tier is rejected by its count, even when every id
+  // in it is in range: a truncated payload reads as zeros, so the count is
+  // what bounds the relinking loop.
+  StateWriter w;
+  w.U64(kFrames);
+  w.U64(kFrames);
+  const std::vector<uint8_t> state(kFrames, 0);
+  w.Bytes(state.data(), state.size());
+  w.U64(kFrames + 1);
+  for (uint64_t i = 0; i <= kFrames; ++i) {
+    w.U64(0);
+  }
+  for (int order = 1; order <= BuddyAllocator::kMaxOrder; ++order) {
+    w.U64(0);
+  }
+  BuddyAllocator fresh(kFrames);
+  StateReader r(w.data());
+  fresh.LoadState(r);
+  EXPECT_FALSE(r.ok());
 }
 
 }  // namespace

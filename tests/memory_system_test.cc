@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/snapshot/serializer.h"
 
 namespace memtis {
 namespace {
@@ -231,6 +232,51 @@ TEST(MemorySystem, ChurnKeepsConsistency) {
   }
   EXPECT_EQ(mem.rss_pages(), 0u);
   EXPECT_TRUE(mem.CheckConsistency());
+}
+
+TEST(MemorySystem, HugePageBitsetsRoundTripThroughASnapshot) {
+  MemorySystem mem(SmallConfig());
+  const Vaddr start = mem.AllocateRegion(2 * kHugePageSize, AllocOptions{});
+  PageInfo& page = mem.page(mem.Lookup(VpnOf(start)));
+  // Word-edge subpages, written; one more subpage only read, so the two sets
+  // differ.
+  for (uint64_t j : {0, 63, 64, 511}) {
+    mem.NoteSubpageAccess(page, j, /*is_write=*/true);
+  }
+  mem.NoteSubpageAccess(page, 100, /*is_write=*/false);
+  const std::bitset<kSubpagesPerHuge> accessed = page.huge->accessed;
+  const std::bitset<kSubpagesPerHuge> written = page.huge->written;
+  ASSERT_EQ(accessed.count(), 5u);
+  ASSERT_EQ(written.count(), 4u);
+
+  StateWriter w;
+  mem.SaveState(w);
+  MemorySystem restored(SmallConfig());
+  StateReader r(w.data());
+  restored.LoadState(r);
+  ASSERT_TRUE(r.Done());
+  const PageInfo& copy = restored.page(restored.Lookup(VpnOf(start)));
+  ASSERT_NE(copy.huge, nullptr);
+  EXPECT_EQ(copy.huge->accessed, accessed);
+  EXPECT_EQ(copy.huge->written, written);
+  EXPECT_EQ(restored.bloat_pages(), mem.bloat_pages());
+  EXPECT_TRUE(restored.CheckConsistency());
+  // The untouched huge page restores empty.
+  const PageInfo& other =
+      restored.page(restored.Lookup(VpnOf(start + kHugePageSize)));
+  ASSERT_NE(other.huge, nullptr);
+  EXPECT_TRUE(other.huge->accessed.none());
+  EXPECT_TRUE(other.huge->written.none());
+
+  // The stored word layout: subpage 64k+b is bit b of word k.
+  const auto words = SubpageWords(written);
+  EXPECT_EQ(words[0], 1ULL | 1ULL << 63);
+  EXPECT_EQ(words[1], 1ULL);
+  for (size_t k = 2; k < 7; ++k) {
+    EXPECT_EQ(words[k], 0u) << "word " << k;
+  }
+  EXPECT_EQ(words[7], 1ULL << 63);
+  EXPECT_EQ(SubpagesFromWords(words), written);
 }
 
 TEST(CountSubpages, MatchesBitsetCount) {

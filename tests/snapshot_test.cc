@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <optional>
 #include <string>
 #include <sys/stat.h>
 #include <thread>
@@ -166,6 +167,52 @@ TEST(Serializer, ZeroLengthBytesAcceptNullBuffers) {
   EXPECT_FALSE(latched.Bytes(nullptr, 0));  // a latched reader still fails
 }
 
+// Bitwise CRC-32 (reflected 0xEDB88320) over one byte of the running state
+// (the complemented CRC): the definition Crc32's tables are derived from.
+uint32_t ReferenceCrcStep(uint32_t state, uint8_t byte) {
+  state ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    state = (state & 1) ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+  }
+  return state;
+}
+
+TEST(Serializer, Crc32MatchesTheStandardCheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"), 0x414FA339u);
+  // Chaining: a CRC seeded with a prefix's CRC is the CRC of the whole.
+  EXPECT_EQ(Crc32(std::string_view("56789"), Crc32("1234")), 0xCBF43926u);
+}
+
+TEST(Serializer, Crc32SliceBy8MatchesTheByteLoop) {
+  constexpr size_t kMaxLen = 4096;
+  constexpr size_t kOffsets = 16;
+  std::vector<uint8_t> buf(kMaxLen + kOffsets);
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (uint8_t& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<uint8_t>(x);
+  }
+  // Every alignment of the 8-byte steps and every tail length, from zero and
+  // from nonzero seed CRCs. The reference runs incrementally over lengths.
+  for (uint32_t seed : {0u, 0xFFFFFFFFu, 0xCBF43926u, 0x12345678u}) {
+    for (size_t offset = 0; offset < kOffsets; ++offset) {
+      const uint8_t* data = buf.data() + offset;
+      uint32_t state = ~seed;
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        ASSERT_EQ(Crc32(data, len, seed), ~state)
+            << "offset " << offset << ", length " << len << ", seed " << seed;
+        if (len < kMaxLen) {
+          state = ReferenceCrcStep(state, data[len]);
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot envelope + store.
 
@@ -258,6 +305,86 @@ TEST(SnapshotStore, RotatesSlotsAndLoadsNewest) {
   ASSERT_TRUE(reopened.Write("fp", 0, "state-4", &error)) << error;
   ASSERT_TRUE(reopened.LoadNewest("fp", 0, &blob));
   EXPECT_EQ(blob.payload, "state-4");
+}
+
+// Decodes one slot file; an absent or undecodable slot yields no blob.
+std::optional<SnapshotBlob> ReadSlot(const std::string& base, int slot) {
+  std::ifstream in(SnapshotStore::SlotPath(base, slot), std::ios::binary);
+  if (!in.is_open()) {
+    return std::nullopt;
+  }
+  const std::string image((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  SnapshotBlob blob;
+  if (!DecodeSnapshot(image, &blob, nullptr)) {
+    return std::nullopt;
+  }
+  return blob;
+}
+
+void FlipMiddleByte(const std::string& path) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekg(0, std::ios::end);
+  const std::streamoff middle = f.tellg() / 2;
+  f.seekg(middle);
+  char c = 0;
+  f.read(&c, 1);
+  c = static_cast<char>(c ^ 0x40);
+  f.seekp(middle);
+  f.write(&c, 1);
+}
+
+TEST(SnapshotStore, WriteAfterLoadNewestRotatesLikeAFreshProbe) {
+  // One slot holds a corrupt snapshot, the other a valid but stale one (other
+  // fingerprint) with a higher sequence. LoadNewest quarantines the first and
+  // skips the second; the Write that follows must pick the slot and sequence
+  // a fresh store (which scans the slots itself) picks in a twin directory.
+  for (int corrupt_slot = 0; corrupt_slot < 2; ++corrupt_slot) {
+    SCOPED_TRACE("corrupt slot " + std::to_string(corrupt_slot));
+    std::string bases[2];
+    for (int twin = 0; twin < 2; ++twin) {
+      bases[twin] = TempDirFor("snap_scan_" + std::to_string(corrupt_slot) +
+                               "_" + std::to_string(twin)) +
+                    "/cell.ckpt";
+      SnapshotStore writer(bases[twin]);
+      std::string error;
+      // Slots fill 0, 1, 0, ...: the corrupt slot's snapshot is written
+      // first, the stale one last.
+      if (corrupt_slot == 1) {
+        ASSERT_TRUE(writer.Write("fp", 0, "oldest", &error)) << error;
+      }
+      ASSERT_TRUE(writer.Write("fp", 0, "to-corrupt", &error)) << error;
+      ASSERT_TRUE(writer.Write("other", 0, "stale", &error)) << error;
+      FlipMiddleByte(SnapshotStore::SlotPath(bases[twin], corrupt_slot));
+    }
+    const int stale_slot = corrupt_slot ^ 1;
+    const uint64_t stale_seq = corrupt_slot == 1 ? 3 : 2;
+    ASSERT_EQ(ReadSlot(bases[0], stale_slot).value().sequence, stale_seq);
+
+    SnapshotStore loader(bases[0]);
+    SnapshotBlob blob;
+    std::string why;
+    EXPECT_FALSE(loader.LoadNewest("fp", 0, &blob, &why));
+    EXPECT_NE(why.find("quarantined"), std::string::npos) << why;
+    EXPECT_NE(why.find("stale"), std::string::npos) << why;
+    std::string error;
+    ASSERT_TRUE(loader.Write("fp", 0, "resumed", &error)) << error;
+
+    SnapshotStore fresh(bases[1]);
+    ASSERT_TRUE(fresh.Write("fp", 0, "resumed", &error)) << error;
+
+    for (const std::string& base : bases) {
+      const std::optional<SnapshotBlob> written = ReadSlot(base, corrupt_slot);
+      ASSERT_TRUE(written.has_value()) << base;
+      EXPECT_EQ(written->payload, "resumed");
+      EXPECT_EQ(written->sequence, stale_seq + 1);
+      EXPECT_EQ(ReadSlot(base, stale_slot).value().payload, "stale") << base;
+    }
+    struct stat st;
+    EXPECT_EQ(::stat((SnapshotStore::SlotPath(bases[0], corrupt_slot) +
+                      ".corrupt").c_str(), &st), 0)
+        << "corrupt slot was not quarantined";
+  }
 }
 
 TEST(SnapshotStore, QuarantinesCorruptSlotAndFallsBack) {
