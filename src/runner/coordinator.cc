@@ -1,5 +1,6 @@
 #include "src/runner/coordinator.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <memory>
 
@@ -10,8 +11,22 @@
 
 #include "src/common/netio.h"
 #include "src/runner/job_codec.h"
+#include "src/runner/supervisor.h"
 
 namespace memtis {
+namespace {
+
+constexpr int kPollTickMs = 50;
+constexpr uint64_t kBackoffCapMs = 10'000;
+
+// The wait before attempt `attempt` >= 1: base << (attempt - 1), capped.
+uint64_t BackoffMs(uint64_t base_ms, int attempt) {
+  const int shift = attempt - 1 < 16 ? attempt - 1 : 16;
+  const uint64_t ms = std::min(base_ms, kBackoffCapMs) << shift;
+  return std::min(ms, kBackoffCapMs);
+}
+
+}  // namespace
 
 Campaign::Campaign(const std::vector<JobSpec>& jobs,
                    const CampaignOptions& options,
@@ -34,7 +49,7 @@ Campaign::Campaign(const std::vector<JobSpec>& jobs,
       *manifest_error = open_error;  // serve anyway; checkpointing is lost
     }
   }
-  // Resume pass, mirroring RunJobsResilient: trust only ok manifest entries.
+  // Resume pass: trust only ok manifest entries; failed cells run again.
   for (size_t i = 0; i < jobs.size(); ++i) {
     const auto it = preloaded.find(fingerprints_[i]);
     if (it == preloaded.end() || !it->second.ok) {
@@ -57,8 +72,8 @@ void Campaign::CheckCancelled() {
   }
 }
 
-bool Campaign::Issuable(const CellState& st) const {
-  if (st.phase != CellPhase::kPending) {
+bool Campaign::Issuable(const CellState& st, uint64_t now_ms) const {
+  if (st.phase != CellPhase::kPending || now_ms < st.not_before_ms) {
     return false;
   }
   // Once cancelled, only cells that already consumed an attempt keep going:
@@ -71,7 +86,7 @@ std::optional<WorkItem> Campaign::NextIssue(uint64_t now_ms) {
   CheckCancelled();
   for (size_t i = 0; i < states_.size(); ++i) {
     CellState& st = states_[i];
-    if (!Issuable(st)) {
+    if (!Issuable(st, now_ms)) {
       continue;
     }
     st.phase = CellPhase::kIssued;
@@ -106,7 +121,7 @@ bool Campaign::Renew(size_t index, int attempt, uint64_t issue,
 }
 
 bool Campaign::OnOutcome(size_t index, int attempt,
-                         const SupervisedOutcome& outcome) {
+                         const SupervisedOutcome& outcome, uint64_t now_ms) {
   if (index >= states_.size()) {
     ++stats_.stale_results;
     return false;
@@ -133,6 +148,7 @@ bool Campaign::OnOutcome(size_t index, int attempt,
     }
     st.phase = CellPhase::kPending;
     st.attempt = attempt + 1;
+    st.not_before_ms = now_ms + BackoffMs(options_.backoff_base_ms, st.attempt);
     ++st.issue;
     ++stats_.retries;
     return true;
@@ -244,11 +260,69 @@ void Campaign::Report(size_t index) {
 }
 
 // ---------------------------------------------------------------------------
+// Local loop: this thread forks every child, so no fork ever races another
+// thread of this process.
+
+std::vector<CellOutcome> RunJobsResilient(
+    const std::vector<JobSpec>& jobs, const CampaignOptions& options,
+    int concurrency, const std::map<std::string, ManifestEntry>& preloaded,
+    const ProgressFn& progress, std::string* manifest_error) {
+  Campaign campaign(jobs, options, preloaded, progress, manifest_error);
+  SupervisorOptions sup;
+  sup.job_timeout_ms = options.job_timeout_ms;
+  sup.checkpoint_ns = options.checkpoint_ns;
+  sup.checkpoint_dir = options.checkpoint_dir;
+  const size_t slots = concurrency < 1 ? 1 : static_cast<size_t>(concurrency);
+
+  struct Running {
+    WorkItem item;
+    std::unique_ptr<SupervisedAttempt> attempt;
+  };
+  std::vector<Running> running;
+  std::vector<pollfd> fds;
+  while (!campaign.Finished()) {
+    while (running.size() < slots) {
+      std::optional<WorkItem> item = campaign.NextIssue(MonotonicMs());
+      if (!item) {
+        break;
+      }
+      auto attempt =
+          std::make_unique<SupervisedAttempt>(item->spec, item->attempt, sup);
+      running.push_back({std::move(*item), std::move(attempt)});
+    }
+
+    // Wake on any child's output, the nearest watchdog, or the tick that
+    // notices SIGINT and backoffs coming due. EINTR only ends the wait early.
+    fds.clear();
+    int timeout = kPollTickMs;
+    const uint64_t now = MonotonicMs();
+    for (const Running& run : running) {
+      run.attempt->AppendPollFds(&fds);
+      const int deadline = run.attempt->MsUntilDeadline(now);
+      if (deadline >= 0 && deadline < timeout) {
+        timeout = deadline;
+      }
+    }
+    poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout);
+
+    for (size_t i = 0; i < running.size();) {
+      const Running& run = running[i];
+      if (!run.attempt->Service()) {
+        ++i;
+        continue;
+      }
+      campaign.OnOutcome(run.item.index, run.item.attempt,
+                         run.attempt->outcome(), MonotonicMs());
+      running.erase(running.begin() + static_cast<long>(i));
+    }
+  }
+  return campaign.Finish();
+}
+
+// ---------------------------------------------------------------------------
 // Serve loop.
 
 namespace {
-
-constexpr int kPollTickMs = 50;
 
 struct Conn {
   int fd = -1;
@@ -302,7 +376,7 @@ void HandleFrame(Conn* conn, const std::string& frame, Campaign* campaign) {
       break;
     }
     case WorkerRequest::Kind::kResult: {
-      campaign->OnOutcome(req.index, req.attempt, req.outcome);
+      campaign->OnOutcome(req.index, req.attempt, req.outcome, now);
       RemoveLease(conn, req.index, req.issue);
       sent = SendFrame(conn->fd, EncodeSimpleReply(CoordinatorReply::Kind::kOk));
       break;

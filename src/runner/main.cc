@@ -1,9 +1,11 @@
 // memtis_run: CLI front-end of the experiment runner.
 //
 // Describes a sweep (cartesian product over systems x benchmarks x ratios x
-// machines x seeds) with flags and/or a key=value file, executes it on a
-// ThreadPool, and writes JSON or CSV results to stdout or a file. Output is
-// byte-identical for any --threads value (see src/runner/sweep.h).
+// machines x seeds) with flags and/or a key=value file, executes it — on a
+// ThreadPool in-process, or as a supervised campaign of forked children
+// driven from one thread — and writes JSON or CSV results to stdout or a
+// file. Output is byte-identical for any --threads value (see
+// src/runner/sweep.h).
 //
 // Examples:
 //   memtis_run --systems=memtis,hemem --benchmarks=btree,silo --seeds=2
@@ -20,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -35,7 +38,6 @@
 #include "src/memtis/policy_registry.h"
 #include "src/runner/coordinator.h"
 #include "src/runner/job_codec.h"
-#include "src/runner/resilient.h"
 #include "src/runner/work_queue.h"
 #include "src/runner/worker.h"
 #include "src/runner/result_sink.h"
@@ -53,7 +55,8 @@ volatile std::sig_atomic_t g_interrupted = 0;
 struct CliOptions {
   SweepSpec sweep;
   SinkOptions sink;
-  ExecOptions exec;
+  CampaignOptions campaign;
+  bool supervise = false;       // fork one child per cell (a campaign)
   std::string format = "json";  // "json" | "csv"
   std::string out;              // empty or "-" -> stdout
   std::string audit_out;        // --audit-json sink (empty = none)
@@ -62,20 +65,17 @@ struct CliOptions {
   std::optional<NetAddress> worker;  // --worker coordinator address
   std::string worker_name;      // --worker-name (default: w<pid>)
   std::string port_file;        // --port-file target for --serve=0
-  uint64_t lease_timeout_ms = 10'000;
-  int result_batch = 1;         // --result-batch: worker-side result batching
   int threads = 0;              // 0 -> ThreadPool::DefaultThreadCount()
   bool quiet = false;
   bool smoke = false;
   bool list_cells = false;
 };
 
-// True when any resilience feature is in play: execution goes through
-// RunJobsResilient (or a distributed campaign) and output uses the
+// True when any resilience feature is in play (each resilience flag implies
+// --supervise): execution is a local or socket Campaign and output uses the
 // outcome-aware schema_version 4 sinks.
 bool ResilientMode(const CliOptions& cli) {
-  return NeedsSupervision(cli.exec) || !cli.exec.manifest_path.empty() ||
-         cli.exec.keep_going || cli.serve.has_value();
+  return cli.supervise || cli.serve.has_value();
 }
 
 // Every numeric flag value goes through one of these two strict parsers, so
@@ -136,7 +136,8 @@ void PrintUsage(std::FILE* to = stdout) {
       "  --baseline             add an all-capacity baseline per cell\n"
       "\n"
       "Execution and output:\n"
-      "  --threads=N            pool size (default: hardware_concurrency or\n"
+      "  --threads=N            pool size, or concurrent children when\n"
+      "                         supervised (default: hardware_concurrency or\n"
       "                         MEMTIS_RUNNER_THREADS)\n"
       "  --format=json|csv      output format (default json)\n"
       "  --indent=N             JSON indent, 0 = compact (default 2)\n"
@@ -157,11 +158,14 @@ void PrintUsage(std::FILE* to = stdout) {
       "                         deterministic attempt-derived engine seed\n"
       "                         (implies --supervise)\n"
       "  --backoff-ms=N         exponential backoff base between attempts\n"
-      "                         (default 100; deterministic, capped at 10s)\n"
+      "                         (default 100; deterministic, capped at 10s;\n"
+      "                         also applies under --serve)\n"
       "  --resume=FILE          JSONL checkpoint manifest: completed cells are\n"
       "                         appended as they finish and skipped on rerun\n"
+      "                         (implies --supervise)\n"
       "  --keep-going           keep running after a cell fails (default:\n"
-      "                         first failure cancels the queued cells)\n"
+      "                         first failure cancels the queued cells;\n"
+      "                         implies --supervise)\n"
       "  --checkpoint-ns=N      snapshot each cell's full simulation state\n"
       "                         every N virtual ns (implies --supervise); a\n"
       "                         SIGKILL-class death resumes the same attempt\n"
@@ -193,9 +197,6 @@ void PrintUsage(std::FILE* to = stdout) {
       "  --port-file=FILE       with --serve: write the bound port to FILE\n"
       "                         once the coordinator is listening (atomic:\n"
       "                         written to a temp file, then renamed)\n"
-      "  --result-batch=N       with --worker: report very small cells'\n"
-      "                         results in batches of up to N (default 1 =\n"
-      "                         stream each result; merge is byte-identical)\n"
       "\n"
       "Auditing (see README \"Auditing and epoch telemetry\"):\n"
       "  --audit                run every job under the invariant auditor;\n"
@@ -416,13 +417,13 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return true;
   }
   if (key == "supervise") {
-    cli->exec.supervise = true;
+    cli->supervise = true;
     return true;
   }
   if (key == "job-timeout-ms") {
-    cli->exec.supervise = true;
-    return ParseUnsigned(value, &cli->exec.job_timeout_ms) &&
-           cli->exec.job_timeout_ms > 0;
+    cli->supervise = true;
+    return ParseUnsigned(value, &cli->campaign.job_timeout_ms) &&
+           cli->campaign.job_timeout_ms > 0;
   }
   if (key == "retries") {
     int retries = 0;
@@ -430,32 +431,31 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
         retries == std::numeric_limits<int>::max()) {
       return false;
     }
-    cli->exec.max_attempts = retries + 1;
-    cli->exec.supervise = true;
+    cli->campaign.max_attempts = retries + 1;
+    cli->supervise = true;
     return true;
   }
   if (key == "backoff-ms") {
-    return ParseUnsigned(value, &cli->exec.backoff_base_ms);
+    return ParseUnsigned(value, &cli->campaign.backoff_base_ms);
   }
   if (key == "resume") {
-    cli->exec.manifest_path = value;
+    cli->supervise = true;
+    cli->campaign.manifest_path = value;
     return !value.empty();
   }
   if (key == "keep-going") {
-    cli->exec.keep_going = true;
+    cli->supervise = true;
+    cli->campaign.keep_going = true;
     return true;
   }
   if (key == "checkpoint-ns") {
-    cli->exec.supervise = true;
-    return ParseUnsigned(value, &cli->exec.checkpoint_ns) &&
-           cli->exec.checkpoint_ns > 0;
+    cli->supervise = true;
+    return ParseUnsigned(value, &cli->campaign.checkpoint_ns) &&
+           cli->campaign.checkpoint_ns > 0;
   }
   if (key == "checkpoint-dir") {
-    cli->exec.checkpoint_dir = value;
+    cli->campaign.checkpoint_dir = value;
     return !value.empty();
-  }
-  if (key == "result-batch") {
-    return ParseUnsigned(value, &cli->result_batch) && cli->result_batch >= 1;
   }
   if (key == "engine-seed") {
     return ParseUnsigned(value, &cli->sweep.engine_seed);
@@ -481,8 +481,8 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return !value.empty();
   }
   if (key == "lease-timeout-ms") {
-    return ParseUnsigned(value, &cli->lease_timeout_ms) &&
-           cli->lease_timeout_ms > 0;
+    return ParseUnsigned(value, &cli->campaign.lease_timeout_ms) &&
+           cli->campaign.lease_timeout_ms > 0;
   }
   if (key == "port-file") {
     cli->port_file = value;
@@ -550,8 +550,7 @@ int WorkerMain(const CliOptions& cli) {
   WorkerOptions options;
   options.name = cli.worker_name.empty() ? "w" + std::to_string(getpid())
                                          : cli.worker_name;
-  options.job_timeout_ms = cli.exec.job_timeout_ms;
-  options.result_batch = cli.result_batch;
+  options.job_timeout_ms = cli.campaign.job_timeout_ms;
   if (const char* kill = std::getenv("MEMTIS_KILL_WORKER")) {
     // Chaos hook: exit hard (no result, no FIN) while holding the Nth lease.
     options.kill_after_cells = std::atoi(kill);
@@ -568,9 +567,9 @@ int WorkerMain(const CliOptions& cli) {
   }
   // Snapshots for checkpointed cells. Only a --checkpoint-dir on storage all
   // workers share lets any worker resume any re-issued lease.
-  options.checkpoint_dir = cli.exec.checkpoint_dir.empty()
+  options.checkpoint_dir = cli.campaign.checkpoint_dir.empty()
                                ? "memtis-ckpt"
-                               : cli.exec.checkpoint_dir;
+                               : cli.campaign.checkpoint_dir;
   // Graceful drain: SIGINT/SIGTERM lets the in-flight cell finish and report
   // before the worker exits 130 (supervised children ignore SIGINT, so the
   // terminal's process-group delivery cannot kill a cell mid-run).
@@ -663,6 +662,181 @@ bool Validate(const SweepSpec& sweep) {
   return true;
 }
 
+// With --audit: writes --audit-json (when requested) and reports the
+// verdict. False when the audit document cannot be written.
+bool ReportAudit(const CliOptions& cli, uint64_t violations,
+                 const std::function<std::string()>& audit_doc) {
+  if (!cli.sweep.audit) {
+    return true;
+  }
+  if (!cli.audit_out.empty() && !WriteResultFile(cli.audit_out, audit_doc())) {
+    return false;
+  }
+  if (!cli.quiet || violations != 0) {
+    std::fprintf(stderr, "memtis_run: audit %s (%" PRIu64 " violations)\n",
+                 violations == 0 ? "clean" : "FAILED", violations);
+  }
+  return true;
+}
+
+// In-process sweep: every cell runs on a ThreadPool thread. A crash would
+// take the whole process, so every cell completed and the schema_version 3
+// document keeps its legacy shape. There is no SIGINT handler: ^C kills the
+// run before it writes anything, since v3 cannot mark missing cells.
+int InProcessMain(const CliOptions& cli, const std::vector<JobSpec>& jobs,
+                  const ProgressFn& progress) {
+  ThreadPool pool(cli.threads);
+  if (!cli.quiet) {
+    std::fprintf(stderr, "memtis_run: %zu jobs on %d threads\n", jobs.size(),
+                 pool.thread_count());
+  }
+  const std::vector<JobResult> results = RunJobs(jobs, pool, progress);
+  const std::string data = cli.format == "csv"
+                               ? SweepToCsv(jobs, results)
+                               : SweepToJson(cli.sweep, jobs, results, cli.sink);
+  if (!WriteResultFile(cli.out, data)) {
+    return 1;
+  }
+  uint64_t violations = 0;
+  for (const JobResult& result : results) {
+    violations += result.audit_report.violations_total;
+  }
+  if (!ReportAudit(cli, violations,
+                   [&] { return AuditToJson(jobs, results, cli.sink); })) {
+    return 1;
+  }
+  return violations == 0 ? 0 : 1;
+}
+
+// Supervised sweep: a Campaign over forked children, driven from this one
+// thread locally or served to --worker processes. No thread is ever started
+// here, so every fork happens in a single-threaded process.
+int SupervisedMain(CliOptions cli, const std::vector<JobSpec>& jobs,
+                   const ProgressFn& progress) {
+  std::map<std::string, ManifestEntry> preloaded;
+  if (!cli.campaign.manifest_path.empty()) {
+    ManifestLoadStats stats;
+    std::string error;
+    if (!LoadManifest(cli.campaign.manifest_path, &preloaded, &stats, &error)) {
+      std::fprintf(stderr, "memtis_run: %s\n", error.c_str());
+      return 2;
+    }
+    if (!cli.quiet && stats.lines_total > 0) {
+      std::fprintf(stderr,
+                   "memtis_run: resume: %zu manifest entr%s"
+                   " (%zu line%s skipped)\n",
+                   stats.entries, stats.entries == 1 ? "y" : "ies",
+                   stats.lines_skipped, stats.lines_skipped == 1 ? "" : "s");
+    }
+  }
+
+  // Mid-cell checkpointing needs a snapshot directory: default one and make
+  // sure it exists up front, so the first snapshot write cannot fail on a
+  // missing directory deep inside a supervised child.
+  if (cli.campaign.checkpoint_ns > 0) {
+    if (cli.campaign.checkpoint_dir.empty()) {
+      cli.campaign.checkpoint_dir = "memtis-ckpt";
+    }
+    if (mkdir(cli.campaign.checkpoint_dir.c_str(), 0777) != 0 &&
+        errno != EEXIST) {
+      std::fprintf(stderr, "memtis_run: cannot create checkpoint dir %s: %s\n",
+                   cli.campaign.checkpoint_dir.c_str(), std::strerror(errno));
+      return 2;
+    }
+  }
+
+  // SIGINT stops new cells, drains in-flight ones, flushes the manifest, and
+  // still writes the partial report (supervised children ignore SIGINT so
+  // the terminal's process-group delivery cannot kill them mid-cell).
+  g_interrupted = 0;
+  std::signal(SIGINT, [](int) { g_interrupted = 1; });
+  cli.campaign.cancelled = [] { return g_interrupted != 0; };
+
+  std::string manifest_error;
+  std::vector<CellOutcome> outcomes;
+  if (cli.serve) {
+    CampaignStats stats;
+    std::string serve_error;
+    const size_t cell_count = jobs.size();
+    const auto on_listening = [&cli, cell_count](uint16_t bound) {
+      if (!cli.port_file.empty()) {
+        // Atomic (temp + rename): a reader polling for the file never sees
+        // it empty or half-written — it appears complete or not at all.
+        std::string write_error;
+        if (!WriteFileAtomic(cli.port_file, std::to_string(bound) + "\n",
+                             &write_error)) {
+          std::fprintf(stderr, "memtis_run: cannot write %s: %s\n",
+                       cli.port_file.c_str(), write_error.c_str());
+        }
+      }
+      if (!cli.quiet) {
+        std::fprintf(stderr, "memtis_run: coordinating %zu cells on %s:%u\n",
+                     cell_count, cli.serve->host.c_str(), bound);
+      }
+    };
+    outcomes = ServeSocketCampaign(jobs, cli.campaign, *cli.serve, on_listening,
+                                   preloaded, progress, &stats, &serve_error,
+                                   &manifest_error);
+    if (!serve_error.empty()) {
+      std::fprintf(stderr, "memtis_run: %s\n", serve_error.c_str());
+      return 1;
+    }
+    if (!cli.quiet) {
+      std::fprintf(stderr,
+                   "memtis_run: campaign: %" PRIu64 " leases issued, %" PRIu64
+                   " lost, %" PRIu64 " retries, %" PRIu64 " stale results\n",
+                   stats.issues, stats.leases_lost, stats.retries,
+                   stats.stale_results);
+    }
+  } else {
+    const int concurrency =
+        cli.threads > 0 ? cli.threads : ThreadPool::DefaultThreadCount();
+    if (!cli.quiet) {
+      std::fprintf(stderr, "memtis_run: %zu jobs, %d supervised at a time\n",
+                   jobs.size(), concurrency);
+    }
+    outcomes = RunJobsResilient(jobs, cli.campaign, concurrency, preloaded,
+                                progress, &manifest_error);
+  }
+  std::signal(SIGINT, SIG_DFL);
+  if (!manifest_error.empty()) {
+    std::fprintf(stderr, "memtis_run: WARNING: checkpointing disabled: %s\n",
+                 manifest_error.c_str());
+  }
+  if (g_interrupted != 0) {
+    std::fprintf(stderr, "\nmemtis_run: interrupted — reporting partial results\n");
+  }
+
+  size_t cells_missing = 0;
+  uint64_t violations = 0;
+  for (const CellOutcome& outcome : outcomes) {
+    if (!outcome.ok) {
+      ++cells_missing;
+    } else {
+      violations += outcome.result.audit_report.violations_total;
+    }
+  }
+  const std::string data = cli.format == "csv"
+                               ? SweepToCsv(jobs, outcomes)
+                               : SweepToJson(cli.sweep, jobs, outcomes, cli.sink);
+  if (!WriteResultFile(cli.out, data)) {
+    return 1;
+  }
+  if (!ReportAudit(cli, violations,
+                   [&] { return AuditToJson(jobs, outcomes, cli.sink); })) {
+    return 1;
+  }
+
+  const std::string failures = FailureSummary(jobs, outcomes);
+  if (!failures.empty()) {
+    std::fprintf(stderr, "memtis_run: %s", failures.c_str());
+  }
+  if (g_interrupted != 0) {
+    return 130;
+  }
+  return cells_missing != 0 || violations != 0 ? 1 : 0;
+}
+
 int Main(int argc, char** argv) {
   CliOptions cli;
   cli.sweep.seeds = BenchSeeds();
@@ -728,23 +902,6 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
-  std::map<std::string, ManifestEntry> preloaded;
-  if (!cli.exec.manifest_path.empty()) {
-    ManifestLoadStats stats;
-    std::string error;
-    if (!LoadManifest(cli.exec.manifest_path, &preloaded, &stats, &error)) {
-      std::fprintf(stderr, "memtis_run: %s\n", error.c_str());
-      return 2;
-    }
-    if (!cli.quiet && stats.lines_total > 0) {
-      std::fprintf(stderr,
-                   "memtis_run: resume: %zu manifest entr%s"
-                   " (%zu line%s skipped)\n",
-                   stats.entries, stats.entries == 1 ? "y" : "ies",
-                   stats.lines_skipped, stats.lines_skipped == 1 ? "" : "s");
-    }
-  }
-
   ProgressFn progress;
   if (!cli.quiet) {
     progress = [&jobs](size_t done, size_t total, size_t index) {
@@ -756,148 +913,8 @@ int Main(int argc, char** argv) {
       std::fflush(stderr);
     };
   }
-
-  // SIGINT drains in-flight cells, flushes the manifest, and still writes the
-  // partial report (supervised children ignore SIGINT so the terminal's
-  // process-group delivery cannot kill them mid-cell).
-  g_interrupted = 0;
-  std::signal(SIGINT, [](int) { g_interrupted = 1; });
-  cli.exec.cancelled = [] { return g_interrupted != 0; };
-
-  // Mid-cell checkpointing needs a snapshot directory: default one and make
-  // sure it exists up front, so the first snapshot write cannot fail on a
-  // missing directory deep inside a supervised child.
-  if (cli.exec.checkpoint_ns > 0) {
-    if (cli.exec.checkpoint_dir.empty()) {
-      cli.exec.checkpoint_dir = "memtis-ckpt";
-    }
-    if (mkdir(cli.exec.checkpoint_dir.c_str(), 0777) != 0 && errno != EEXIST) {
-      std::fprintf(stderr, "memtis_run: cannot create checkpoint dir %s: %s\n",
-                   cli.exec.checkpoint_dir.c_str(), std::strerror(errno));
-      return 2;
-    }
-  }
-
-  std::string manifest_error;
-  std::vector<CellOutcome> outcomes;
-  if (cli.serve) {
-    CampaignOptions campaign;
-    campaign.max_attempts = cli.exec.max_attempts;
-    campaign.lease_timeout_ms = cli.lease_timeout_ms;
-    campaign.job_timeout_ms = cli.exec.job_timeout_ms;
-    campaign.checkpoint_ns = cli.exec.checkpoint_ns;
-    campaign.keep_going = cli.exec.keep_going;
-    campaign.manifest_path = cli.exec.manifest_path;
-    campaign.cancelled = cli.exec.cancelled;
-
-    CampaignStats stats;
-    std::string serve_error;
-    const size_t cell_count = jobs.size();
-    const auto on_listening = [&cli, cell_count](uint16_t bound) {
-      if (!cli.port_file.empty()) {
-        // Atomic (temp + rename): a reader polling for the file never sees
-        // it empty or half-written — it appears complete or not at all.
-        std::string write_error;
-        if (!WriteFileAtomic(cli.port_file, std::to_string(bound) + "\n",
-                             &write_error)) {
-          std::fprintf(stderr, "memtis_run: cannot write %s: %s\n",
-                       cli.port_file.c_str(), write_error.c_str());
-        }
-      }
-      if (!cli.quiet) {
-        std::fprintf(stderr, "memtis_run: coordinating %zu cells on %s:%u\n",
-                     cell_count, cli.serve->host.c_str(), bound);
-      }
-    };
-    outcomes = ServeSocketCampaign(jobs, campaign, *cli.serve, on_listening,
-                                   preloaded, progress, &stats, &serve_error,
-                                   &manifest_error);
-    if (!serve_error.empty()) {
-      std::fprintf(stderr, "memtis_run: %s\n", serve_error.c_str());
-      return 1;
-    }
-    if (!cli.quiet) {
-      std::fprintf(stderr,
-                   "memtis_run: campaign: %" PRIu64 " leases issued, %" PRIu64
-                   " lost, %" PRIu64 " retries, %" PRIu64 " stale results\n",
-                   stats.issues, stats.leases_lost, stats.retries,
-                   stats.stale_results);
-    }
-  } else {
-    ThreadPool pool(cli.threads);
-    if (!cli.quiet) {
-      std::fprintf(stderr, "memtis_run: %zu jobs on %d threads\n", jobs.size(),
-                   pool.thread_count());
-    }
-    outcomes = RunJobsResilient(jobs, pool, cli.exec, preloaded, progress,
-                                &manifest_error);
-  }
-  std::signal(SIGINT, SIG_DFL);
-  if (!manifest_error.empty()) {
-    std::fprintf(stderr, "memtis_run: WARNING: checkpointing disabled: %s\n",
-                 manifest_error.c_str());
-  }
-  if (g_interrupted != 0) {
-    std::fprintf(stderr, "\nmemtis_run: interrupted — reporting partial results\n");
-  }
-
-  const bool resilient = ResilientMode(cli);
-  if (!resilient && g_interrupted != 0) {
-    // The v1 schema has no way to mark missing cells; don't write a document
-    // that silently mixes real and never-run results.
-    return 130;
-  }
-  size_t cells_missing = 0;
-  uint64_t violations = 0;
-  for (const CellOutcome& outcome : outcomes) {
-    if (!outcome.ok) {
-      ++cells_missing;
-    } else {
-      violations += outcome.result.audit_report.violations_total;
-    }
-  }
-
-  std::string data;
-  if (resilient) {
-    data = cli.format == "csv" ? SweepToCsv(jobs, outcomes)
-                               : SweepToJson(cli.sweep, jobs, outcomes, cli.sink);
-  } else {
-    // Legacy mode: every cell ran in-process (a crash would have taken the
-    // whole process), so the schema_version 3 document keeps its legacy shape.
-    std::vector<JobResult> results;
-    results.reserve(outcomes.size());
-    for (const CellOutcome& outcome : outcomes) {
-      results.push_back(outcome.result);
-    }
-    data = cli.format == "csv" ? SweepToCsv(jobs, results)
-                               : SweepToJson(cli.sweep, jobs, results, cli.sink);
-  }
-  if (!WriteResultFile(cli.out, data)) {
-    return 1;
-  }
-
-  if (cli.sweep.audit) {
-    if (!cli.audit_out.empty() &&
-        !WriteResultFile(cli.audit_out, AuditToJson(jobs, outcomes, cli.sink))) {
-      return 1;
-    }
-    if (!cli.quiet || violations != 0) {
-      std::fprintf(stderr, "memtis_run: audit %s (%" PRIu64 " violations)\n",
-                   violations == 0 ? "clean" : "FAILED", violations);
-    }
-  }
-
-  const std::string failures = FailureSummary(jobs, outcomes);
-  if (!failures.empty()) {
-    std::fprintf(stderr, "memtis_run: %s", failures.c_str());
-  }
-  if (g_interrupted != 0) {
-    return 130;
-  }
-  if (cells_missing != 0 || violations != 0) {
-    return 1;
-  }
-  return 0;
+  return ResilientMode(cli) ? SupervisedMain(cli, jobs, progress)
+                            : InProcessMain(cli, jobs, progress);
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ bool LoadManifest(const std::string& path,
                   std::string* error = nullptr);
 
 // Append-only manifest writer; Append is serialized and flushes per line so
-// concurrent ThreadPool workers interleave whole records, never bytes.
+// concurrent writers interleave whole records, never bytes.
 class ManifestWriter {
  public:
   ManifestWriter() = default;

@@ -15,7 +15,7 @@
 #include <string_view>
 #include <vector>
 
-#include "src/runner/resilient.h"
+#include "src/runner/supervisor.h"
 #include "src/runner/sweep.h"
 
 namespace memtis {

@@ -8,12 +8,12 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include "src/common/check.h"
 #include "src/common/json.h"
 #include "src/common/json_parse.h"
+#include "src/common/netio.h"
 #include "src/runner/checkpoint_runner.h"
 #include "src/runner/job_codec.h"
 
@@ -31,25 +31,9 @@ constexpr char kTagResult = 'R';
 constexpr char kTagCheck = 'C';
 constexpr char kTagFail = 'F';
 
-constexpr uint64_t kBackoffCapMs = 10'000;
 // Safety cap for MEMTIS_HANG_CELL when no watchdog is armed: exit instead of
 // wedging a test run forever.
 constexpr int kHangSafetyCapSeconds = 600;
-
-uint64_t NowMs() {
-  timespec ts;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<uint64_t>(ts.tv_sec) * 1000 +
-         static_cast<uint64_t>(ts.tv_nsec) / 1'000'000;
-}
-
-void SleepMs(uint64_t ms) {
-  timespec ts;
-  ts.tv_sec = static_cast<time_t>(ms / 1000);
-  ts.tv_nsec = static_cast<long>((ms % 1000) * 1'000'000);
-  while (nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-  }
-}
 
 void WriteFully(int fd, const char* data, size_t size) {
   while (size > 0) {
@@ -167,71 +151,106 @@ bool HookMatches(const char* env_name, const std::string& fingerprint,
   _exit(0);
 }
 
-struct PipeReader {
-  int fd = -1;
-  bool open = false;
-  std::string data;
-  size_t cap = 0;  // 0 = unbounded; otherwise keep only the last `cap` bytes
+bool ResumableDeath(const JobFailure& failure) {
+  return failure.kind == FailureKind::kTimeout ||
+         (failure.kind == FailureKind::kCrash && failure.signal == SIGKILL);
+}
 
-  void Drain() {
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = read(fd, buf, sizeof(buf));
-      if (n > 0) {
-        data.append(buf, static_cast<size_t>(n));
-        if (cap != 0 && data.size() > cap) {
-          data.erase(0, data.size() - cap);
-        }
-        continue;
+}  // namespace
+
+void SupervisedAttempt::Pipe::Drain() {
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = read(fd, buf, sizeof(buf));
+    if (n > 0) {
+      data.append(buf, static_cast<size_t>(n));
+      if (cap != 0 && data.size() > cap) {
+        data.erase(0, data.size() - cap);
       }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        return;  // no more for now
-      }
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      close(fd);
-      open = false;
-      return;  // EOF or hard error: stop watching this pipe
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return;  // no more for now
+    }
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    close(fd);
+    fd = -1;
+    return;  // EOF or hard error: stop watching this pipe
+  }
+}
+
+SupervisedAttempt::SupervisedAttempt(const JobSpec& spec, int attempt,
+                                     const SupervisorOptions& options)
+    : spec_(spec),
+      fingerprint_(JobFingerprint(spec)),
+      reproducer_(ReproducerCmdline(spec, attempt)),
+      attempt_(attempt),
+      options_(options) {
+  spec_.engine_seed = AttemptEngineSeed(spec.engine_seed, attempt);
+  outcome_.attempts = attempt + 1;
+  Launch();
+}
+
+SupervisedAttempt::~SupervisedAttempt() {
+  if (pid_ > 0) {
+    kill(pid_, SIGKILL);
+    while (waitpid(pid_, nullptr, 0) < 0 && errno == EINTR) {
     }
   }
-};
+  for (const int fd : {result_.fd, err_.fd}) {
+    if (fd >= 0) {
+      close(fd);
+    }
+  }
+}
 
-// One forked attempt. Fills either outcome->result (ok) or outcome->failure
-// (everything but the reproducer, which the retry loop owns).
-void RunAttempt(const JobSpec& spec, const std::string& fingerprint,
-                int attempt, const SupervisorOptions& options,
-                SupervisedOutcome* outcome) {
-  outcome->ok = false;
-  outcome->failure = JobFailure();
+void SupervisedAttempt::Launch() {
+  result_ = Pipe();
+  err_ = Pipe();
+  err_.cap = options_.stderr_tail_bytes;
+  timed_out_ = false;
 
+  // Reported before any cleanup close() can clobber errno.
+  const auto fail = [this](const char* call) {
+    outcome_.ok = false;
+    outcome_.failure = JobFailure();
+    outcome_.failure.kind = FailureKind::kProtocol;
+    outcome_.failure.message =
+        std::string(call) + "() failed: " + std::strerror(errno);
+    outcome_.failure.reproducer_cmdline = reproducer_;
+    done_ = true;
+  };
   int result_pipe[2];
   int stderr_pipe[2];
-  if (pipe(result_pipe) != 0 || pipe(stderr_pipe) != 0) {
-    outcome->failure.kind = FailureKind::kProtocol;
-    outcome->failure.message =
-        std::string("pipe() failed: ") + std::strerror(errno);
+  if (pipe(result_pipe) != 0) {
+    fail("pipe");
     return;
   }
-
+  if (pipe(stderr_pipe) != 0) {
+    fail("pipe");
+    close(result_pipe[0]);
+    close(result_pipe[1]);
+    return;
+  }
   const pid_t pid = fork();
   if (pid < 0) {
+    fail("fork");
     for (const int fd : {result_pipe[0], result_pipe[1], stderr_pipe[0],
                          stderr_pipe[1]}) {
       close(fd);
     }
-    outcome->failure.kind = FailureKind::kProtocol;
-    outcome->failure.message =
-        std::string("fork() failed: ") + std::strerror(errno);
     return;
   }
   if (pid == 0) {
     close(result_pipe[0]);
     close(stderr_pipe[0]);
-    RunChild(spec, fingerprint, attempt, options, result_pipe[1],
+    RunChild(spec_, fingerprint_, attempt_, options_, result_pipe[1],
              stderr_pipe[1]);
   }
 
+  pid_ = pid;
   close(result_pipe[1]);
   close(stderr_pipe[1]);
   // Drain() reads until EAGAIN, so the parent's read ends must be
@@ -239,71 +258,102 @@ void RunAttempt(const JobSpec& spec, const std::string& fingerprint,
   // backpressure the child, not drop its payload).
   fcntl(result_pipe[0], F_SETFL, O_NONBLOCK);
   fcntl(stderr_pipe[0], F_SETFL, O_NONBLOCK);
-  PipeReader result{result_pipe[0], true, {}, 0};
-  PipeReader err{stderr_pipe[0], true, {}, options.stderr_tail_bytes};
+  result_.fd = result_pipe[0];
+  err_.fd = stderr_pipe[0];
+  deadline_ms_ = MonotonicMs() + options_.job_timeout_ms;
+}
 
-  const bool has_deadline = options.job_timeout_ms > 0;
-  const uint64_t deadline_ms = NowMs() + options.job_timeout_ms;
-  bool timed_out = false;
+void SupervisedAttempt::AppendPollFds(std::vector<pollfd>* fds) const {
+  for (const int fd : {result_.fd, err_.fd}) {
+    if (fd >= 0) {
+      fds->push_back({fd, POLLIN, 0});
+    }
+  }
+}
 
-  while (result.open || err.open) {
-    pollfd fds[2];
-    nfds_t nfds = 0;
-    for (PipeReader* reader : {&result, &err}) {
-      if (reader->open) {
-        fds[nfds].fd = reader->fd;
-        fds[nfds].events = POLLIN;
-        fds[nfds].revents = 0;
-        ++nfds;
-      }
+int SupervisedAttempt::MsUntilDeadline(uint64_t now_ms) const {
+  if (done_ || options_.job_timeout_ms == 0 || timed_out_) {
+    return -1;
+  }
+  return now_ms >= deadline_ms_ ? 0 : static_cast<int>(deadline_ms_ - now_ms);
+}
+
+bool SupervisedAttempt::Service() {
+  if (done_) {
+    return true;
+  }
+  for (Pipe* pipe : {&result_, &err_}) {
+    if (pipe->fd >= 0) {
+      pipe->Drain();
     }
-    int timeout = -1;
-    if (has_deadline && !timed_out) {
-      const uint64_t now = NowMs();
-      timeout = now >= deadline_ms ? 0 : static_cast<int>(deadline_ms - now);
-    }
-    const int rc = poll(fds, nfds, timeout);
-    if (rc < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      break;
-    }
-    if (rc == 0) {
-      // Watchdog fired: down the child, then keep draining until EOF so the
-      // stderr tail and any partial payload survive into the failure record.
-      timed_out = true;
-      kill(pid, SIGKILL);
-      continue;
-    }
-    for (nfds_t i = 0; i < nfds; ++i) {
-      if (fds[i].revents == 0) {
-        continue;
-      }
-      PipeReader* reader = fds[i].fd == result.fd ? &result : &err;
-      reader->Drain();
-    }
+  }
+  if (MsUntilDeadline(MonotonicMs()) == 0) {
+    // Watchdog fired: down the child, then keep draining until EOF so the
+    // stderr tail and any partial payload survive into the failure record.
+    timed_out_ = true;
+    kill(pid_, SIGKILL);
+  }
+  if (result_.fd >= 0 || err_.fd >= 0) {
+    return false;
   }
 
   int status = 0;
-  while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  while (waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
   }
+  pid_ = -1;
+  Classify(status);
+  // SIGKILL-class deaths leave valid snapshots behind: relaunch the SAME
+  // attempt so the child restores instead of recomputing.
+  const bool checkpointing =
+      options_.checkpoint_ns > 0 && !options_.checkpoint_dir.empty();
+  if (!outcome_.ok && checkpointing && ResumableDeath(outcome_.failure) &&
+      resumes_ < options_.max_resume_retries) {
+    ++resumes_;
+    Launch();
+    return done_;
+  }
+  if (!outcome_.ok) {
+    outcome_.failure.reproducer_cmdline = reproducer_;
+  }
+  done_ = true;
+  return true;
+}
 
-  JobFailure& failure = outcome->failure;
-  failure.stderr_tail = err.data;
-  if (!result.data.empty() && result.data[0] == kTagCheck) {
+bool SupervisedAttempt::Wait(int timeout_ms) {
+  if (done_) {
+    return true;
+  }
+  std::vector<pollfd> fds;
+  AppendPollFds(&fds);
+  const int deadline = MsUntilDeadline(MonotonicMs());
+  if (deadline >= 0 && (timeout_ms < 0 || deadline < timeout_ms)) {
+    timeout_ms = deadline;
+  }
+  poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
+  return Service();
+}
+
+// Fills outcome_ from the reaped child: the result, or everything of the
+// failure but the reproducer.
+void SupervisedAttempt::Classify(int status) {
+  outcome_.ok = false;
+  JobFailure& failure = outcome_.failure;
+  failure = JobFailure();
+  failure.stderr_tail = err_.data;
+  const std::string& payload = result_.data;
+  if (!payload.empty() && payload[0] == kTagCheck) {
     JsonValue check;
-    if (JsonValue::Parse(result.data.substr(1), &check, nullptr)) {
+    if (JsonValue::Parse(payload.substr(1), &check, nullptr)) {
       failure.check_expr = check.GetString("expr") + " at " +
                            check.GetString("file") + ":" +
                            std::to_string(check.GetInt("line"));
     }
   }
 
-  if (timed_out) {
+  if (timed_out_) {
     failure.kind = FailureKind::kTimeout;
     failure.signal = SIGKILL;
-    failure.message = "deadline of " + std::to_string(options.job_timeout_ms) +
+    failure.message = "deadline of " + std::to_string(options_.job_timeout_ms) +
                       " ms exceeded; child SIGKILLed";
     return;
   }
@@ -325,11 +375,11 @@ void RunAttempt(const JobSpec& spec, const std::string& fingerprint,
     return;
   }
   // Clean exit with a self-diagnosed failure: adopt it verbatim.
-  if (!result.data.empty() && result.data[0] == kTagFail) {
+  if (!payload.empty() && payload[0] == kTagFail) {
     JsonValue doc;
-    if (JsonValue::Parse(result.data.substr(1), &doc, nullptr) &&
+    if (JsonValue::Parse(payload.substr(1), &doc, nullptr) &&
         ReadJobFailureJson(doc, &failure)) {
-      failure.stderr_tail = err.data;
+      failure.stderr_tail = err_.data;
       return;
     }
     failure.kind = FailureKind::kProtocol;
@@ -337,76 +387,29 @@ void RunAttempt(const JobSpec& spec, const std::string& fingerprint,
     return;
   }
   // Clean exit: the payload must be a parseable tagged result.
-  if (result.data.empty() || result.data[0] != kTagResult) {
+  if (payload.empty() || payload[0] != kTagResult) {
     failure.kind = FailureKind::kProtocol;
     failure.message = "child exited 0 without a result payload";
     return;
   }
   JsonValue doc;
   std::string parse_error;
-  if (!JsonValue::Parse(result.data.substr(1), &doc, &parse_error) ||
-      !ReadJobResultJson(doc, &outcome->result)) {
+  if (!JsonValue::Parse(payload.substr(1), &doc, &parse_error) ||
+      !ReadJobResultJson(doc, &outcome_.result)) {
     failure.kind = FailureKind::kProtocol;
     failure.message = "unparseable result payload: " + parse_error;
     return;
   }
   failure = JobFailure();
-  outcome->ok = true;
+  outcome_.ok = true;
 }
 
-}  // namespace
-
-SupervisedOutcome RunJobSupervised(const JobSpec& spec,
+SupervisedOutcome RunJobSupervised(const JobSpec& spec, int attempt,
                                    const SupervisorOptions& options) {
-  const std::string fingerprint = JobFingerprint(spec);
-  const int max_attempts = options.max_attempts < 1 ? 1 : options.max_attempts;
-
-  const int first_attempt = options.first_attempt < 0 ? 0 : options.first_attempt;
-
-  const bool checkpointing =
-      options.checkpoint_ns > 0 && !options.checkpoint_dir.empty();
-
-  SupervisedOutcome outcome;
-  int attempt = first_attempt;
-  int fresh_attempts = 0;   // attempts with distinct derived seeds
-  int resume_retries = 0;   // same-attempt restore-from-snapshot re-runs
-  int runs = 0;
-  for (;;) {
-    if (runs > 0 && options.backoff_base_ms > 0) {
-      const uint64_t backoff = options.backoff_base_ms
-                               << (runs - 1 < 16 ? runs - 1 : 16);
-      SleepMs(backoff < kBackoffCapMs ? backoff : kBackoffCapMs);
-    }
-    JobSpec attempt_spec = spec;
-    attempt_spec.engine_seed = AttemptEngineSeed(spec.engine_seed, attempt);
-    RunAttempt(attempt_spec, fingerprint, attempt, options, &outcome);
-    ++runs;
-    outcome.attempts = attempt + 1;
-    if (outcome.ok) {
-      return outcome;
-    }
-    outcome.failure.reproducer_cmdline = ReproducerCmdline(spec, attempt);
-    if (!IsRecoverable(outcome.failure.kind)) {
-      return outcome;
-    }
-    // SIGKILL-class deaths leave valid snapshots behind: re-run the SAME
-    // attempt so the child restores instead of recomputing. Everything else
-    // advances the attempt (new seed; old snapshots go stale and are
-    // ignored), exactly as before checkpointing existed.
-    const bool resumable =
-        checkpointing &&
-        (outcome.failure.kind == FailureKind::kTimeout ||
-         (outcome.failure.kind == FailureKind::kCrash &&
-          outcome.failure.signal == SIGKILL));
-    if (resumable && resume_retries < options.max_resume_retries) {
-      ++resume_retries;
-      continue;
-    }
-    ++attempt;
-    if (++fresh_attempts >= max_attempts) {
-      return outcome;
-    }
+  SupervisedAttempt handle(spec, attempt, options);
+  while (!handle.Wait(-1)) {
   }
+  return handle.outcome();
 }
 
 }  // namespace memtis

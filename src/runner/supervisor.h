@@ -13,12 +13,19 @@
 //    tell the difference. tests/runner_test.cc holds this property.
 //  - Deadlines. job_timeout_ms > 0 arms a watchdog; on overrun the child is
 //    SIGKILLed and the failure kind is kTimeout.
-//  - Deterministic retries. Up to max_attempts attempts per cell; attempt k
-//    reruns the cell with engine_seed' = DeriveSeedOffset(engine_seed, k) —
-//    the same documented scheme that spaces workload seeds — so every retry
-//    is reproducible from (spec, attempt) alone and the failure's reproducer
-//    command line pins the exact attempt seed. Backoff between attempts is
-//    deterministic too: backoff_base_ms << (attempt - 1), capped.
+//  - One attempt per call. Attempt k runs the cell with engine_seed' =
+//    DeriveSeedOffset(engine_seed, k) — the same documented scheme that
+//    spaces workload seeds — so every attempt is reproducible from
+//    (spec, attempt) alone and the failure's reproducer command line pins
+//    the exact attempt seed. Whether and when a failed cell runs its next
+//    attempt is the caller's decision: retries and backoff live only in
+//    Campaign (coordinator.h), for local and distributed sweeps alike.
+//  - Single-threaded parents. A SupervisedAttempt is a pollable handle, so
+//    one thread can drive many children at once (RunJobsResilient) and
+//    every fork happens in a process with no other thread: a thread holding
+//    an allocator lock at fork time would leave the child blocked on it
+//    forever, and a sibling's fork between pipe() and closing the write end
+//    would hold that pipe open past its child's exit.
 //  - SIM_CHECK reporting. The child installs a check-failure hook
 //    (src/common/check.h) that writes the failing expression through the
 //    result pipe before aborting, so JobFailure::check_expr carries the
@@ -29,8 +36,9 @@
 //
 //   MEMTIS_CRASH_CELL=<fingerprint>[:N]  SIM_CHECK-fail the cell with that
 //       JobFingerprint on attempts 0..N-1 (default: every attempt). With N=1
-//       and max_attempts >= 2 a cell crashes once and then succeeds —
-//       deterministically — which is how the retry tests are built.
+//       and a campaign allowing two attempts a cell crashes once and then
+//       succeeds — deterministically — which is how the retry tests are
+//       built.
 //   MEMTIS_HANG_CELL=<fingerprint>       spin in the named cell until the
 //       watchdog kills it (a bounded safety cap exits eventually if no
 //       deadline was armed).
@@ -40,6 +48,10 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
+
+#include <poll.h>
+#include <sys/types.h>
 
 #include "src/common/status.h"
 #include "src/runner/sweep.h"
@@ -58,47 +70,40 @@ struct JobFailure {
 };
 
 struct SupervisorOptions {
-  // Wall-clock deadline per attempt in milliseconds; 0 disarms the watchdog.
+  // Wall-clock deadline per run in milliseconds; 0 disarms the watchdog.
   uint64_t job_timeout_ms = 0;
-  // Total attempts per cell (>= 1). Only recoverable failures (see
-  // src/common/status.h) are retried.
-  int max_attempts = 1;
-  // Deterministic exponential backoff before attempt k > 0:
-  // min(backoff_base_ms << (k - 1), 10'000) ms. 0 disables sleeping.
-  uint64_t backoff_base_ms = 0;
   // How much of the child's stderr to keep for JobFailure::stderr_tail.
   size_t stderr_tail_bytes = 4096;
   // Checkpointing (src/runner/checkpoint_runner.h). When checkpoint_ns > 0
-  // and checkpoint_dir is set, each child runs RunJobCheckpointed: it writes
+  // and checkpoint_dir is set, the child runs RunJobCheckpointed: it writes
   // a snapshot of the full simulation state every checkpoint_ns of virtual
   // time under checkpoint_dir, keyed by (fingerprint, attempt). After a
   // SIGKILL-class death (watchdog timeout, or a crash whose signal is
-  // SIGKILL) the retry re-runs the SAME attempt, which restores from the
+  // SIGKILL) the handle relaunches the SAME attempt, which restores from the
   // newest valid snapshot and finishes byte-identical to an uninterrupted
-  // run. All other failures advance the attempt as before — the new attempt
-  // seed makes old snapshots stale and they are ignored. Cells whose policy
-  // or workload cannot checkpoint fail up front with kInvalidSpec.
+  // run; a resume is not a new attempt. Cells whose policy or workload
+  // cannot checkpoint fail up front with kInvalidSpec.
   uint64_t checkpoint_ns = 0;
   std::string checkpoint_dir;
-  // Bound on same-attempt resume retries across the whole call (a snapshot
-  // that keeps dying mid-restore must not loop forever; once exhausted the
-  // failure falls back to the ordinary advance-the-attempt path).
+  // Bound on same-attempt resumes per attempt (a snapshot that keeps dying
+  // mid-restore must not loop forever; once exhausted the SIGKILL-class
+  // failure is reported like any other).
   int max_resume_retries = 8;
-  // Global index of the first attempt this call runs (local runs leave it 0).
-  // The distributed coordinator (src/runner/coordinator.h) sets it when
-  // re-issuing a failed cell to another worker, so attempt k of this call is
-  // global attempt first_attempt + k everywhere it matters: the derived
-  // engine seed, the MEMTIS_CRASH_CELL/MEMTIS_HANG_CELL attempt window, the
-  // failure reproducer, and SupervisedOutcome::attempts — which therefore
-  // counts from global attempt 0, not from this call. That is what makes a
-  // cell that fails on worker A and succeeds on worker B byte-identical to
-  // the same retry happening inside one local RunJobSupervised call.
-  int first_attempt = 0;
 };
 
 struct SupervisedOutcome {
   bool ok = false;
-  int attempts = 0;    // attempts actually made (>= 1)
+  int attempts = 0;    // global attempt number + 1
+  JobResult result;    // valid when ok
+  JobFailure failure;  // kind != kNone when !ok
+};
+
+// The fate of one cell in a sweep.
+struct CellOutcome {
+  bool ok = false;
+  bool ran = false;            // false: skipped by cancellation/fail-fast
+  bool from_manifest = false;  // result reloaded from the resume manifest
+  int attempts = 0;
   JobResult result;    // valid when ok
   JobFailure failure;  // kind != kNone when !ok
 };
@@ -109,10 +114,69 @@ inline constexpr uint64_t AttemptEngineSeed(uint64_t engine_seed, int attempt) {
   return DeriveSeedOffset(engine_seed, static_cast<uint32_t>(attempt));
 }
 
-// Runs one cell under supervision, retrying per `options`. Thread-safe: safe
-// to call concurrently from multiple ThreadPool workers (each call forks its
-// own child).
-SupervisedOutcome RunJobSupervised(const JobSpec& spec,
+// One supervised attempt in flight: the forked child, its result and
+// stderr pipes, and its watchdog. The constructor forks; the caller then
+// polls the handle's pipes (alone, with Wait, or together with other
+// handles' via AppendPollFds) and calls Service until it reports done.
+// Nothing blocks except the final waitpid, which runs only once the child
+// has closed both pipes, i.e. as it exits.
+class SupervisedAttempt {
+ public:
+  SupervisedAttempt(const JobSpec& spec, int attempt,
+                    const SupervisorOptions& options);
+  // SIGKILLs and reaps a child that is still running.
+  ~SupervisedAttempt();
+  SupervisedAttempt(const SupervisedAttempt&) = delete;
+  SupervisedAttempt& operator=(const SupervisedAttempt&) = delete;
+
+  // Appends the pipes still open (POLLIN) to `fds`.
+  void AppendPollFds(std::vector<pollfd>* fds) const;
+
+  // Milliseconds until the watchdog fires (0 = due); -1 when none is armed.
+  int MsUntilDeadline(uint64_t now_ms) const;
+
+  // Non-blocking progress: drains readable pipes and fires an expired
+  // watchdog; once both pipes are closed, reaps and classifies the child,
+  // relaunching the same attempt after a resumable death. True once the
+  // outcome is final.
+  bool Service();
+
+  // Polls this attempt alone for up to timeout_ms (-1 = no limit, capped
+  // by the watchdog), then Services it.
+  bool Wait(int timeout_ms);
+
+  // Valid once Service or Wait has returned true.
+  const SupervisedOutcome& outcome() const { return outcome_; }
+
+ private:
+  struct Pipe {
+    int fd = -1;
+    std::string data;
+    size_t cap = 0;  // 0 = unbounded; otherwise keep only the last `cap` bytes
+    void Drain();
+  };
+
+  void Launch();
+  void Classify(int status);
+
+  JobSpec spec_;  // with the attempt's engine seed folded in
+  std::string fingerprint_;
+  std::string reproducer_;
+  int attempt_;
+  SupervisorOptions options_;
+  pid_t pid_ = -1;
+  Pipe result_;
+  Pipe err_;
+  uint64_t deadline_ms_ = 0;
+  bool timed_out_ = false;
+  int resumes_ = 0;
+  bool done_ = false;
+  SupervisedOutcome outcome_;
+};
+
+// Runs global attempt `attempt` of one cell under supervision and waits for
+// it: a SupervisedAttempt driven to completion.
+SupervisedOutcome RunJobSupervised(const JobSpec& spec, int attempt,
                                    const SupervisorOptions& options);
 
 }  // namespace memtis

@@ -40,31 +40,10 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     SIM_CHECK(!shutting_down_);
-    if (cancelled_) {
-      return;  // dropped: the pool is winding down
-    }
     queue_.push_back(std::move(task));
     ++in_flight_;
   }
   work_available_.notify_one();
-}
-
-void ThreadPool::RequestCancel() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cancelled_ = true;
-    in_flight_ -= queue_.size();
-    queue_.clear();
-    if (in_flight_ == 0) {
-      all_done_.notify_all();
-    }
-  }
-  work_available_.notify_all();
-}
-
-bool ThreadPool::cancel_requested() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return cancelled_;
 }
 
 void ThreadPool::Wait() {

@@ -32,21 +32,11 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   // Enqueues a task. Tasks must not themselves call Submit/Wait on this pool
-  // (jobs are independent; there is no nested-parallelism story). After
-  // RequestCancel the task is silently dropped instead.
+  // (jobs are independent; there is no nested-parallelism story).
   void Submit(std::function<void()> task);
 
   // Blocks until every submitted task has finished executing.
   void Wait();
-
-  // Cooperative cancellation: drops every still-queued task (they never run)
-  // and makes further Submits no-ops. Tasks already executing run to
-  // completion — cancellation never interrupts a job mid-flight, it only
-  // stops new ones from starting, which is what SIGINT and --fail-fast want.
-  // One-shot; there is no way to un-cancel a pool.
-  void RequestCancel();
-
-  bool cancel_requested() const;
 
   int thread_count() const { return static_cast<int>(workers_.size()); }
 
@@ -57,13 +47,12 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_;
   uint64_t in_flight_ = 0;  // queued + currently executing
   bool shutting_down_ = false;
-  bool cancelled_ = false;
   std::vector<std::thread> workers_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <unistd.h>
 
+#include <utility>
+
 #include "src/common/json.h"
 #include "src/common/json_parse.h"
 #include "src/runner/job_codec.h"
@@ -292,30 +294,6 @@ bool WorkQueue::Renew(const WorkItem& item) {
 bool WorkQueue::Complete(const WorkItem& item, const SupervisedOutcome& outcome) {
   CoordinatorReply reply;
   return RoundTrip(EncodeResultRequest(worker_, item, outcome), &reply);
-}
-
-bool WorkQueue::CompleteBatch(
-    const std::vector<std::pair<WorkItem, SupervisedOutcome>>& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (dead_) {
-    return false;
-  }
-  for (const auto& [item, outcome] : batch) {
-    if (!SendFrame(fd_, EncodeResultRequest(worker_, item, outcome))) {
-      dead_ = true;
-      return false;
-    }
-  }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    std::string frame;
-    CoordinatorReply reply;
-    if (!RecvFrame(fd_, &decoder_, &frame, kSocketReplyTimeoutMs) ||
-        !ParseCoordinatorReply(frame, &reply, nullptr)) {
-      dead_ = true;
-      return false;
-    }
-  }
-  return true;
 }
 
 bool WorkQueue::RoundTrip(const std::string& request, CoordinatorReply* reply) {

@@ -31,8 +31,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "src/common/netio.h"
 #include "src/runner/supervisor.h"
@@ -106,8 +104,8 @@ std::string EncodeSimpleReply(CoordinatorReply::Kind kind);
 std::string EncodeErrorReply(const std::string& message);
 
 // A worker's connection to the coordinator: strict request/reply pairs on
-// one socket, serialized by a mutex so the worker's main loop and its lease
-// renewal thread can share it.
+// one socket, serialized by a mutex so one queue may be shared across
+// threads.
 class WorkQueue {
  public:
   enum class ClaimStatus {
@@ -132,15 +130,6 @@ class WorkQueue {
 
   // Reports the attempt's outcome. False = the campaign is gone.
   bool Complete(const WorkItem& item, const SupervisedOutcome& outcome);
-
-  // Reports several outcomes at once — the batching path for very small
-  // cells, where per-result round-trips dominate. All result frames go out
-  // back-to-back, then the replies are drained: the same frames and the same
-  // coordinator-side merge by (fingerprint, attempt) as Complete in a loop,
-  // so the output bytes cannot tell the difference. False = the campaign is
-  // gone.
-  bool CompleteBatch(
-      const std::vector<std::pair<WorkItem, SupervisedOutcome>>& batch);
 
  private:
   bool RoundTrip(const std::string& request, CoordinatorReply* reply);

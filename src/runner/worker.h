@@ -1,11 +1,12 @@
 // Worker side of distributed campaign execution: `memtis_run --worker=ADDR`.
 //
-// RunWorker pulls cells from a WorkQueue, runs each under the existing
-// supervisor as exactly one attempt at the cell's global attempt number
-// (SupervisorOptions::first_attempt), heartbeats the lease from a side
-// thread, and streams the fingerprint-keyed outcome back. The worker holds
-// no campaign state: killing it at any point only costs the leases it held,
-// which the coordinator re-issues deterministically.
+// RunWorker pulls cells from a WorkQueue, runs each under the supervisor as
+// exactly one attempt at the cell's global attempt number, heartbeats the
+// lease from the same loop that polls the child, and streams the
+// fingerprint-keyed outcome back. The worker is single-threaded, so it forks
+// with no other thread running. It holds no campaign state: killing it at
+// any point only costs the leases it held, which the coordinator re-issues
+// deterministically.
 
 #ifndef MEMTIS_SIM_SRC_RUNNER_WORKER_H_
 #define MEMTIS_SIM_SRC_RUNNER_WORKER_H_
@@ -32,15 +33,9 @@ struct WorkerOptions {
   std::string checkpoint_dir;
 
   // Graceful drain (SIGINT/SIGTERM): polled between cells. Once true the
-  // worker finishes and reports the in-flight cell, flushes any batched
-  // results, and returns 3 instead of claiming further work.
+  // worker finishes and reports the in-flight cell, and returns 3 instead of
+  // claiming further work.
   std::function<bool()> drain;
-
-  // Report results in batches of up to this many for very small cells
-  // (RunWorker's kBatchableAccesses), amortizing per-result round-trips.
-  // Large cells and the final cell before an exit flush the batch. 1 = every
-  // result streams immediately (the default, and the chaos-test behaviour).
-  int result_batch = 1;
 
   // Chaos hooks (tests / MEMTIS_KILL_WORKER): exit after completing this many
   // cells while holding the next claimed lease. kill_hard uses _exit so no

@@ -4,18 +4,16 @@
 // bytes of a single-host supervised run (src/runner/coordinator.h documents
 // why this holds).
 //
-// Workers run in-process threads here (soft kills: the worker abandons its
-// lease and its connection, which the coordinator sees as EOF). Real SIGKILL
-// chaos — including killing the coordinator itself — lives in
-// scripts/smoke_distributed.sh.
+// Workers run RunWorker in forked processes here (tests/socket_campaign.h;
+// soft kills: the worker abandons its lease and its connection, which the
+// coordinator sees as EOF). Real SIGKILL chaos — including killing the
+// coordinator itself — lives in scripts/smoke_distributed.sh.
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <future>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,13 +23,12 @@
 #include "src/runner/coordinator.h"
 #include "src/runner/job_codec.h"
 #include "src/runner/manifest.h"
-#include "src/runner/resilient.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/supervisor.h"
 #include "src/runner/sweep.h"
-#include "src/runner/thread_pool.h"
 #include "src/runner/work_queue.h"
 #include "src/runner/worker.h"
+#include "tests/socket_campaign.h"
 
 namespace memtis {
 namespace {
@@ -69,66 +66,11 @@ std::string Bytes(const SweepSpec& sweep, const std::vector<JobSpec>& jobs,
 std::vector<CellOutcome> LocalReference(const std::vector<JobSpec>& jobs,
                                         int max_attempts = 1,
                                         bool keep_going = false) {
-  ExecOptions exec;
-  exec.supervise = true;
-  exec.max_attempts = max_attempts;
-  exec.backoff_base_ms = 0;
-  exec.keep_going = keep_going;
-  ThreadPool pool(2);
-  return RunJobsResilient(jobs, pool, exec);
-}
-
-struct CampaignRun {
-  std::vector<CellOutcome> outcomes;
-  CampaignStats stats;
-  std::string error;
-};
-
-// Serves a socket campaign (with `preloaded` manifest entries) and runs each
-// WorkerOptions entry as an in-process worker thread against it. Workers
-// start as soon as the port is bound, all at once or, with
-// `sequential_workers`, one after another (sequential chaos schedules).
-CampaignRun RunSocketCampaign(
-    const std::vector<JobSpec>& jobs, const CampaignOptions& options,
-    const std::vector<WorkerOptions>& workers, bool sequential_workers = false,
-    const std::map<std::string, ManifestEntry>& preloaded = {}) {
-  CampaignRun run;
-  std::promise<uint16_t> port_promise;
-  std::shared_future<uint16_t> port_future(port_promise.get_future());
-
-  std::thread coordinator([&] {
-    run.outcomes = ServeSocketCampaign(
-        jobs, options, NetAddress{},
-        [&](uint16_t bound) { port_promise.set_value(bound); }, preloaded,
-        nullptr, &run.stats, &run.error);
-  });
-
-  auto run_one = [&](const WorkerOptions& opts) {
-    NetAddress addr;
-    addr.port = port_future.get();
-    std::string error;
-    auto queue = MakeSocketWorkQueue(addr, opts.name, 5'000, &error);
-    ASSERT_NE(queue, nullptr) << error;
-    RunWorker(*queue, opts);
-    // Queue destruction closes the connection: a soft-killed worker's held
-    // lease surfaces to the coordinator as EOF right here.
-  };
-
-  if (sequential_workers) {
-    for (const WorkerOptions& opts : workers) {
-      run_one(opts);
-    }
-  } else {
-    std::vector<std::thread> threads;
-    for (const WorkerOptions& opts : workers) {
-      threads.emplace_back([&, opts] { run_one(opts); });
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
-  coordinator.join();
-  return run;
+  CampaignOptions options;
+  options.max_attempts = max_attempts;
+  options.backoff_base_ms = 0;
+  options.keep_going = keep_going;
+  return RunJobsResilient(jobs, options, 2);
 }
 
 std::vector<WorkerOptions> PlainWorkers(int n) {
@@ -157,7 +99,7 @@ TEST(Distributed, SocketCampaignMatchesInProcessAndSupervisedBytes) {
     in_process[i].result = RunJob(jobs[i]);
   }
   const std::vector<CellOutcome> supervised = LocalReference(jobs);
-  const CampaignRun campaign =
+  const SocketCampaignRun campaign =
       RunSocketCampaign(jobs, CampaignOptions{}, PlainWorkers(1));
 
   ASSERT_TRUE(campaign.error.empty()) << campaign.error;
@@ -174,7 +116,7 @@ TEST(Distributed, FourSocketWorkersAreByteIdenticalToOne) {
   ASSERT_EQ(jobs.size(), 4u);
   const std::vector<CellOutcome> reference = LocalReference(jobs);
 
-  const CampaignRun campaign =
+  const SocketCampaignRun campaign =
       RunSocketCampaign(jobs, CampaignOptions{}, PlainWorkers(4));
   ASSERT_TRUE(campaign.error.empty()) << campaign.error;
   EXPECT_EQ(Bytes(sweep, jobs, campaign.outcomes),
@@ -194,7 +136,7 @@ TEST(Distributed, KilledSocketWorkerLeasesAreReissuedByteIdentically) {
   for (const int healthy : {3, 1}) {
     std::vector<WorkerOptions> workers = PlainWorkers(healthy + 1);
     workers[0].kill_after_cells = 0;  // soft kill: quit holding the lease
-    const CampaignRun campaign = RunSocketCampaign(
+    const SocketCampaignRun campaign = RunSocketCampaign(
         jobs, CampaignOptions{}, workers, /*sequential_workers=*/healthy == 1);
     ASSERT_TRUE(campaign.error.empty()) << campaign.error;
     EXPECT_GE(campaign.stats.leases_lost, 1u) << "healthy=" << healthy;
@@ -214,7 +156,7 @@ TEST(Distributed, HungWorkerLeaseExpiresWithoutChangingBytes) {
   options.lease_timeout_ms = 150;
   std::vector<WorkerOptions> workers = PlainWorkers(2);
   workers[0].hang_first_claim_ms = 600;  // sits on the lease, never renews
-  const CampaignRun campaign = RunSocketCampaign(jobs, options, workers);
+  const SocketCampaignRun campaign = RunSocketCampaign(jobs, options, workers);
   ASSERT_TRUE(campaign.error.empty()) << campaign.error;
   EXPECT_GE(campaign.stats.leases_lost, 1u);
   EXPECT_EQ(Bytes(sweep, jobs, campaign.outcomes),
@@ -239,7 +181,7 @@ TEST(Distributed, RetryAcrossWorkersKeepsGlobalAttemptCountAndBytes) {
   options.max_attempts = 2;
   // Two workers racing: whichever reports the attempt-0 crash, the attempt-1
   // retry may land on either worker — both must produce identical bytes.
-  const CampaignRun campaign =
+  const SocketCampaignRun campaign =
       RunSocketCampaign(jobs, options, PlainWorkers(2));
   ASSERT_TRUE(campaign.error.empty()) << campaign.error;
   EXPECT_GE(campaign.stats.retries, 1u);
@@ -261,7 +203,7 @@ TEST(Distributed, ExhaustedReissueBudgetDecidesLeaseExpired) {
   std::vector<WorkerOptions> workers = PlainWorkers(3);
   workers[0].kill_after_cells = 0;
   workers[1].kill_after_cells = 0;
-  const CampaignRun campaign = RunSocketCampaign(jobs, options, workers,
+  const SocketCampaignRun campaign = RunSocketCampaign(jobs, options, workers,
                                                  /*sequential_workers=*/true);
   ASSERT_TRUE(campaign.error.empty()) << campaign.error;
   EXPECT_EQ(campaign.stats.leases_lost, 2u);
@@ -292,7 +234,7 @@ TEST(Distributed, SocketResumeFromManifestSkipsDecidedCells) {
 
   CampaignOptions options;
   options.manifest_path = manifest;
-  const CampaignRun first =
+  const SocketCampaignRun first =
       RunSocketCampaign(jobs, options, PlainWorkers(2));
   ASSERT_TRUE(first.error.empty()) << first.error;
   EXPECT_EQ(Bytes(sweep, jobs, first.outcomes), Bytes(sweep, jobs, reference));
@@ -342,7 +284,7 @@ TEST(Distributed, SocketResumeFromManifestSkipsDecidedCells) {
 
   CampaignOptions restart_options;
   restart_options.manifest_path = torn_manifest;
-  const CampaignRun restarted =
+  const SocketCampaignRun restarted =
       RunSocketCampaign(jobs, restart_options, PlainWorkers(2),
                         /*sequential_workers=*/false, survived);
   ASSERT_TRUE(restarted.error.empty()) << restarted.error;
@@ -370,10 +312,10 @@ TEST(Campaign, DuplicateAndStaleResultsAreIgnored) {
   SupervisedOutcome ok;
   ok.ok = true;
   ok.attempts = 1;
-  EXPECT_TRUE(campaign.OnOutcome(0, 0, ok));
-  EXPECT_FALSE(campaign.OnOutcome(0, 0, ok));  // duplicate: decided
-  EXPECT_FALSE(campaign.OnOutcome(0, 5, ok));  // stale attempt
-  EXPECT_FALSE(campaign.OnOutcome(99, 0, ok));  // out of range
+  EXPECT_TRUE(campaign.OnOutcome(0, 0, ok, 1000));
+  EXPECT_FALSE(campaign.OnOutcome(0, 0, ok, 1000));  // duplicate: decided
+  EXPECT_FALSE(campaign.OnOutcome(0, 5, ok, 1000));  // stale attempt
+  EXPECT_FALSE(campaign.OnOutcome(99, 0, ok, 1000));  // out of range
   EXPECT_EQ(campaign.stats().stale_results, 3u);
 
   // A lease loss for a superseded issue id is a no-op.
@@ -416,15 +358,47 @@ TEST(Campaign, LeaseExpiryReissuesSameAttemptFreshIssue) {
   Campaign retrying(jobs, [] {
     CampaignOptions o;
     o.max_attempts = 2;
+    o.backoff_base_ms = 0;
     return o;
   }(), {}, nullptr, nullptr);
   auto first = retrying.NextIssue(0);
   ASSERT_TRUE(first.has_value());
-  EXPECT_TRUE(retrying.OnOutcome(first->index, first->attempt, crash));
+  EXPECT_TRUE(retrying.OnOutcome(first->index, first->attempt, crash, 0));
   auto retry = retrying.NextIssue(0);
   ASSERT_TRUE(retry.has_value());
   EXPECT_EQ(retry->index, first->index);
   EXPECT_EQ(retry->attempt, first->attempt + 1);
+}
+
+// Retries and backoff live only in Campaign: a recoverable failure re-opens
+// the cell at attempt + 1, but not before base << (attempt - 1) ms have
+// passed — for local sweeps and socket campaigns alike.
+TEST(Campaign, RetryWaitsForBackoffBeforeReissue) {
+  const std::vector<JobSpec> jobs = {ExpandJobs(SmallSweep())[0]};
+  CampaignOptions options;
+  options.max_attempts = 3;
+  options.backoff_base_ms = 100;
+  Campaign campaign(jobs, options, {}, nullptr, nullptr);
+
+  SupervisedOutcome crash;
+  crash.attempts = 1;
+  crash.failure.kind = FailureKind::kCrash;
+  auto first = campaign.NextIssue(0);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(campaign.OnOutcome(0, 0, crash, /*now_ms=*/0));
+  EXPECT_FALSE(campaign.NextIssue(99).has_value());
+  EXPECT_FALSE(campaign.Finished());
+  auto retry = campaign.NextIssue(100);
+  ASSERT_TRUE(retry.has_value());
+  EXPECT_EQ(retry->attempt, 1);
+
+  // The wait doubles per attempt.
+  crash.attempts = 2;
+  EXPECT_TRUE(campaign.OnOutcome(0, 1, crash, /*now_ms=*/1000));
+  EXPECT_FALSE(campaign.NextIssue(1199).has_value());
+  auto second = campaign.NextIssue(1200);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->attempt, 2);
 }
 
 // The protocol codecs the two ends share must round-trip losslessly —

@@ -6,11 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <future>
 #include <map>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
@@ -28,13 +26,12 @@
 #include "src/memtis/policy_registry.h"
 #include "src/runner/job_codec.h"
 #include "src/runner/manifest.h"
-#include "src/runner/resilient.h"
 #include "src/runner/supervisor.h"
 #include "src/runner/sweep.h"
-#include "src/runner/thread_pool.h"
 #include "src/snapshot/serializer.h"
 #include "src/snapshot/snapshot_file.h"
 #include "src/workloads/registry.h"
+#include "tests/socket_campaign.h"
 #include "tests/test_util.h"
 
 namespace memtis {
@@ -438,10 +435,8 @@ TEST(Fuzz, SupervisedStormSweepKeepsParentAlive) {
   sweep.faults = spec;
   const std::vector<JobSpec> jobs = ExpandJobs(sweep);
 
-  ExecOptions exec;
-  exec.supervise = true;
-  ThreadPool pool(4);
-  const std::vector<CellOutcome> outcomes = RunJobsResilient(jobs, pool, exec);
+  const std::vector<CellOutcome> outcomes =
+      RunJobsResilient(jobs, CampaignOptions{}, 4);
 
   ASSERT_EQ(outcomes.size(), jobs.size());
   for (size_t i = 0; i < outcomes.size(); ++i) {
@@ -597,59 +592,48 @@ TEST(Fuzz, CoordinatorSurvivesGarbageClients) {
   sweep.accesses = 20'000;
   const std::vector<JobSpec> jobs = ExpandJobs(sweep);
 
-  std::promise<uint16_t> port_promise;
-  std::shared_future<uint16_t> port(port_promise.get_future());
-  CampaignStats stats;
-  std::string serve_error;
-  std::vector<CellOutcome> outcomes;
-  std::thread coordinator([&] {
-    outcomes = ServeSocketCampaign(
-        jobs, CampaignOptions{}, NetAddress{},
-        [&](uint16_t bound) { port_promise.set_value(bound); }, {}, nullptr,
-        &stats, &serve_error);
-  });
-  NetAddress addr;
-  addr.port = port.get();
-
   // A parade of hostile clients: raw garbage, a garbled frame, an oversize
   // length prefix, and an instant hangup. Each should cost only its own
-  // connection.
-  std::mt19937_64 rng(7);
-  for (int client = 0; client < 8; ++client) {
-    std::string error;
-    const int fd = ConnectTcp(addr, &error);
-    ASSERT_GE(fd, 0) << error;
-    std::string bytes;
-    switch (client % 4) {
-      case 0:  // random soup
-        bytes.resize(64 + rng() % 256);
-        for (char& c : bytes) c = static_cast<char>(rng());
-        break;
-      case 1:  // well-framed non-JSON
-        bytes = EncodeFrame("!!not json!!");
-        break;
-      case 2: {  // oversize length prefix
-        const unsigned char huge[4] = {0xFF, 0xFF, 0xFF, 0xFF};
-        bytes.assign(reinterpret_cast<const char*>(huge), 4);
-        break;
+  // connection. They connect once the port is bound, before the healthy
+  // worker, which still completes the campaign.
+  const auto hostile_clients = [](uint16_t port) {
+    NetAddress addr;
+    addr.port = port;
+    std::mt19937_64 rng(7);
+    for (int client = 0; client < 8; ++client) {
+      std::string error;
+      const int fd = ConnectTcp(addr, &error);
+      ASSERT_GE(fd, 0) << error;
+      std::string bytes;
+      switch (client % 4) {
+        case 0:  // random soup
+          bytes.resize(64 + rng() % 256);
+          for (char& c : bytes) c = static_cast<char>(rng());
+          break;
+        case 1:  // well-framed non-JSON
+          bytes = EncodeFrame("!!not json!!");
+          break;
+        case 2: {  // oversize length prefix
+          const unsigned char huge[4] = {0xFF, 0xFF, 0xFF, 0xFF};
+          bytes.assign(reinterpret_cast<const char*>(huge), 4);
+          break;
+        }
+        case 3:  // connect-and-slam
+          break;
       }
-      case 3:  // connect-and-slam
-        break;
+      if (!bytes.empty()) {
+        send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      }
+      close(fd);
     }
-    if (!bytes.empty()) {
-      send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-    }
-    close(fd);
-  }
-
-  // A healthy worker still completes the campaign.
-  std::string error;
-  auto queue = MakeSocketWorkQueue(addr, "healthy", 5'000, &error);
-  ASSERT_NE(queue, nullptr) << error;
-  WorkerOptions wopts;
-  wopts.name = "healthy";
-  EXPECT_EQ(RunWorker(*queue, wopts), 0);
-  coordinator.join();
+  };
+  WorkerOptions healthy;
+  healthy.name = "healthy";
+  const SocketCampaignRun run = RunSocketCampaign(
+      jobs, CampaignOptions{}, {healthy}, false, {}, hostile_clients);
+  EXPECT_EQ(run.worker_exits, std::vector<int>{0});
+  const std::string& serve_error = run.error;
+  const std::vector<CellOutcome>& outcomes = run.outcomes;
 
   ASSERT_TRUE(serve_error.empty()) << serve_error;
   ASSERT_EQ(outcomes.size(), jobs.size());

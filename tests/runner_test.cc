@@ -11,7 +11,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,9 +18,9 @@
 #include "src/common/json.h"
 #include "src/common/json_parse.h"
 #include "src/common/status.h"
+#include "src/runner/coordinator.h"
 #include "src/runner/job_codec.h"
 #include "src/runner/manifest.h"
-#include "src/runner/resilient.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/supervisor.h"
 #include "src/runner/sweep.h"
@@ -332,39 +331,11 @@ std::string TempPath(const std::string& name) {
   return path;
 }
 
-TEST(ThreadPool, RequestCancelDropsQueuedWorkAndIgnoresLateSubmits) {
-  ThreadPool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  pool.Submit([&] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-    ran.fetch_add(1);
-  });
-  // Make sure the single worker is inside the blocker, not still queued.
-  while (!started.load()) std::this_thread::yield();
-  // Queued behind the blocker; all dropped by the cancel below.
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&] { ran.fetch_add(1); });
-  }
-  pool.RequestCancel();
-  EXPECT_TRUE(pool.cancel_requested());
-  release.store(true);
-  pool.Wait();
-  // The in-flight task drains normally; the queued ones never run.
-  EXPECT_EQ(ran.load(), 1);
-
-  pool.Submit([&] { ran.fetch_add(1); });  // no-op after cancellation
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 1);
-}
-
 TEST(Supervisor, SupervisedSuccessIsByteIdenticalToInProcessRun) {
   const JobSpec spec = SmallSpec();
   const JobResult in_process = RunJob(spec);
 
-  const SupervisedOutcome out = RunJobSupervised(spec, SupervisorOptions{});
+  const SupervisedOutcome out = RunJobSupervised(spec, 0, SupervisorOptions{});
   ASSERT_TRUE(out.ok) << out.failure.message;
   EXPECT_EQ(out.attempts, 1);
   EXPECT_EQ(SerializeResult(out.result), SerializeResult(in_process));
@@ -374,7 +345,7 @@ TEST(Supervisor, InjectedCrashReportsKindAndCheckExprAndReproducer) {
   const JobSpec spec = SmallSpec();
   ScopedEnv crash("MEMTIS_CRASH_CELL", JobFingerprint(spec));
 
-  const SupervisedOutcome out = RunJobSupervised(spec, SupervisorOptions{});
+  const SupervisedOutcome out = RunJobSupervised(spec, 0, SupervisorOptions{});
   ASSERT_FALSE(out.ok);
   EXPECT_EQ(out.failure.kind, FailureKind::kCrash);
   EXPECT_EQ(out.attempts, 1);
@@ -391,7 +362,7 @@ TEST(Supervisor, DeadlineOverrunReportsTimeoutWithReproducer) {
 
   SupervisorOptions options;
   options.job_timeout_ms = 300;
-  const SupervisedOutcome out = RunJobSupervised(spec, options);
+  const SupervisedOutcome out = RunJobSupervised(spec, 0, options);
   ASSERT_FALSE(out.ok);
   EXPECT_EQ(out.failure.kind, FailureKind::kTimeout);
   EXPECT_EQ(out.failure.signal, SIGKILL);
@@ -405,58 +376,55 @@ TEST(Supervisor, DeadlineOverrunReportsTimeoutWithReproducer) {
 
 // A cell that crashes on attempt 0 only must succeed on attempt 1 with the
 // documented retry seed — byte-identical to running the spec in-process with
-// that seed folded in by hand.
+// that seed folded in by hand. The sweep's campaign owns the retry.
 TEST(Supervisor, RetryAfterInjectedCrashIsDeterministic) {
   const JobSpec spec = SmallSpec();
   ScopedEnv crash("MEMTIS_CRASH_CELL", JobFingerprint(spec) + ":1");
 
-  SupervisorOptions options;
+  CampaignOptions options;
   options.max_attempts = 2;
   options.backoff_base_ms = 0;
-  const SupervisedOutcome out = RunJobSupervised(spec, options);
-  ASSERT_TRUE(out.ok) << out.failure.message;
-  EXPECT_EQ(out.attempts, 2);
+  const std::vector<CellOutcome> out = RunJobsResilient({spec}, options, 1);
+  ASSERT_TRUE(out[0].ok) << out[0].failure.message;
+  EXPECT_EQ(out[0].attempts, 2);
 
   JobSpec retried = spec;
   retried.engine_seed = AttemptEngineSeed(spec.engine_seed, 1);
-  EXPECT_EQ(SerializeResult(out.result), SerializeResult(RunJob(retried)));
+  EXPECT_EQ(SerializeResult(out[0].result), SerializeResult(RunJob(retried)));
 }
 
 // The retry-accounting contract distributed campaigns depend on: a retry
 // split across processes (attempt 0 fails on worker A, attempt 1 runs on
-// worker B via first_attempt) must report the same global attempt count,
-// seed, reproducer, and bytes as a single-process max_attempts=2 retry.
+// worker B) must report the same global attempt count, seed, reproducer,
+// and bytes as a local sweep's max_attempts=2 retry.
 TEST(Supervisor, FirstAttemptRunsAtGlobalAttemptNumber) {
   const JobSpec spec = SmallSpec();
   ScopedEnv crash("MEMTIS_CRASH_CELL", JobFingerprint(spec) + ":1");
 
-  // Single-process reference: crash once, succeed on the folded seed.
-  SupervisorOptions local;
+  // Local reference: crash once, succeed on the folded seed.
+  CampaignOptions local;
   local.max_attempts = 2;
   local.backoff_base_ms = 0;
-  const SupervisedOutcome reference = RunJobSupervised(spec, local);
-  ASSERT_TRUE(reference.ok);
-  ASSERT_EQ(reference.attempts, 2);
+  const std::vector<CellOutcome> reference =
+      RunJobsResilient({spec}, local, 1);
+  ASSERT_TRUE(reference[0].ok);
+  ASSERT_EQ(reference[0].attempts, 2);
 
-  // "Worker A": one attempt at global attempt 0 — crashes, counts 1 attempt,
-  // and its reproducer names attempt 0.
-  SupervisorOptions one_shot;
-  one_shot.max_attempts = 1;
-  one_shot.backoff_base_ms = 0;
-  const SupervisedOutcome a0 = RunJobSupervised(spec, one_shot);
+  // "Worker A": global attempt 0 — crashes, counts 1 attempt, and its
+  // reproducer names attempt 0.
+  const SupervisedOutcome a0 = RunJobSupervised(spec, 0, SupervisorOptions{});
   ASSERT_FALSE(a0.ok);
   EXPECT_EQ(a0.attempts, 1);
   EXPECT_EQ(a0.failure.kind, FailureKind::kCrash);
   EXPECT_EQ(a0.failure.reproducer_cmdline, ReproducerCmdline(spec, 0));
 
-  // "Worker B": one attempt at global attempt 1 — the crash hook (armed for
-  // attempt 0 only) does not fire, the seed folds, and the global attempt
-  // count lands at 2, exactly like the single-process retry.
-  one_shot.first_attempt = 1;
-  const SupervisedOutcome a1 = RunJobSupervised(spec, one_shot);
+  // "Worker B": global attempt 1 — the crash hook (armed for attempt 0 only)
+  // does not fire, the seed folds, and the global attempt count lands at 2,
+  // exactly like the local retry.
+  const SupervisedOutcome a1 = RunJobSupervised(spec, 1, SupervisorOptions{});
   ASSERT_TRUE(a1.ok) << a1.failure.message;
   EXPECT_EQ(a1.attempts, 2);
-  EXPECT_EQ(SerializeResult(a1.result), SerializeResult(reference.result));
+  EXPECT_EQ(SerializeResult(a1.result), SerializeResult(reference[0].result));
 }
 
 TEST(ResilientSweep, RetriedSweepIsByteIdenticalAcrossThreadCounts) {
@@ -468,15 +436,12 @@ TEST(ResilientSweep, RetriedSweepIsByteIdenticalAcrossThreadCounts) {
   ASSERT_EQ(jobs.size(), 2u);
   ScopedEnv crash("MEMTIS_CRASH_CELL", JobFingerprint(jobs[0]) + ":1");
 
-  ExecOptions exec;
-  exec.supervise = true;
-  exec.max_attempts = 2;
-  exec.backoff_base_ms = 0;
+  CampaignOptions options;
+  options.max_attempts = 2;
+  options.backoff_base_ms = 0;
 
-  ThreadPool serial(1);
-  const std::vector<CellOutcome> out1 = RunJobsResilient(jobs, serial, exec);
-  ThreadPool parallel(4);
-  const std::vector<CellOutcome> out4 = RunJobsResilient(jobs, parallel, exec);
+  const std::vector<CellOutcome> out1 = RunJobsResilient(jobs, options, 1);
+  const std::vector<CellOutcome> out4 = RunJobsResilient(jobs, options, 4);
 
   ASSERT_TRUE(out1[0].ok && out4[0].ok);
   EXPECT_EQ(out1[0].attempts, 2);
@@ -499,29 +464,25 @@ TEST(ResilientSweep, ResumeReproducesUninterruptedBytes) {
   const std::vector<JobSpec> jobs = ExpandJobs(sweep);
   ASSERT_EQ(jobs.size(), 2u);
 
-  ExecOptions exec;
-  exec.supervise = true;
-  exec.keep_going = true;
-  exec.manifest_path = TempPath("memtis_resume_test.jsonl");
+  CampaignOptions options;
+  options.keep_going = true;
+  options.manifest_path = TempPath("memtis_resume_test.jsonl");
 
   SinkOptions opts;
   opts.indent = 0;
 
-  ThreadPool pool(2);
   std::string reference;
   {
-    ExecOptions plain;
-    plain.supervise = true;
-    const std::vector<CellOutcome> full = RunJobsResilient(jobs, pool, plain);
+    const std::vector<CellOutcome> full =
+        RunJobsResilient(jobs, CampaignOptions{}, 2);
     ASSERT_TRUE(full[0].ok && full[1].ok);
     reference = SweepToJson(sweep, jobs, full, opts);
   }
 
   {  // Interrupted run: the memtis cell crashes, the other completes.
     ScopedEnv crash("MEMTIS_CRASH_CELL", JobFingerprint(jobs[0]));
-    ThreadPool pool2(2);
     const std::vector<CellOutcome> partial =
-        RunJobsResilient(jobs, pool2, exec);
+        RunJobsResilient(jobs, options, 2);
     EXPECT_FALSE(partial[0].ok);
     EXPECT_EQ(partial[0].failure.kind, FailureKind::kCrash);
     ASSERT_TRUE(partial[1].ok);
@@ -530,18 +491,17 @@ TEST(ResilientSweep, ResumeReproducesUninterruptedBytes) {
 
   std::map<std::string, ManifestEntry> preloaded;
   ManifestLoadStats stats;
-  ASSERT_TRUE(LoadManifest(exec.manifest_path, &preloaded, &stats));
+  ASSERT_TRUE(LoadManifest(options.manifest_path, &preloaded, &stats));
   // Both cells were appended (the crash too); only the ok one is reused.
   EXPECT_EQ(stats.entries, 2u);
 
-  ThreadPool pool3(2);
   const std::vector<CellOutcome> resumed =
-      RunJobsResilient(jobs, pool3, exec, preloaded);
+      RunJobsResilient(jobs, options, 2, preloaded);
   ASSERT_TRUE(resumed[0].ok && resumed[1].ok);
   EXPECT_FALSE(resumed[0].from_manifest);  // failed entry re-ran
   EXPECT_TRUE(resumed[1].from_manifest);   // ok entry reloaded
   EXPECT_EQ(SweepToJson(sweep, jobs, resumed, opts), reference);
-  std::remove(exec.manifest_path.c_str());
+  std::remove(options.manifest_path.c_str());
 }
 
 TEST(Manifest, MissingFileIsEmptySuccess) {
@@ -634,10 +594,9 @@ TEST(ResilientSweep, FailFastCancelsRemainingCellsWithReproducers) {
   ASSERT_EQ(jobs.size(), 3u);
   ScopedEnv crash("MEMTIS_CRASH_CELL", JobFingerprint(jobs[0]));
 
-  ExecOptions exec;
-  exec.supervise = true;  // keep_going stays false: first failure cancels
-  ThreadPool pool(1);
-  const std::vector<CellOutcome> outcomes = RunJobsResilient(jobs, pool, exec);
+  // keep_going stays false: the first failure cancels the rest.
+  const std::vector<CellOutcome> outcomes =
+      RunJobsResilient(jobs, CampaignOptions{}, 1);
 
   EXPECT_FALSE(outcomes[0].ok);
   EXPECT_TRUE(outcomes[0].ran);
@@ -655,6 +614,43 @@ TEST(ResilientSweep, FailFastCancelsRemainingCellsWithReproducers) {
   const std::string summary = FailureSummary(jobs, outcomes);
   EXPECT_NE(summary.find("repro: memtis_run"), std::string::npos) << summary;
   EXPECT_NE(summary.find("crash"), std::string::npos) << summary;
+}
+
+// The number of threads in this process, from /proc/self/status.
+int ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::atoi(line.c_str() + 8);
+    }
+  }
+  return -1;
+}
+
+// A supervised sweep forks every child from the calling thread: no thread
+// is started, so no fork can race another thread's allocator lock or pipe.
+TEST(ResilientSweep, SupervisedSweepForksFromOneThread) {
+  SweepSpec sweep;
+  sweep.systems = {"memtis", "autonuma"};
+  sweep.benchmarks = {"btree", "silo"};
+  sweep.accesses = 20'000;
+  sweep.seeds = 2;
+  const std::vector<JobSpec> jobs = ExpandJobs(sweep);
+  ASSERT_GE(jobs.size(), 8u);
+  ASSERT_EQ(ThreadCount(), 1);
+
+  std::vector<int> threads_seen;
+  const std::vector<CellOutcome> outcomes = RunJobsResilient(
+      jobs, CampaignOptions{}, 4, {},
+      [&](size_t, size_t, size_t) { threads_seen.push_back(ThreadCount()); });
+  for (const CellOutcome& cell : outcomes) {
+    EXPECT_TRUE(cell.ok) << cell.failure.message;
+  }
+  ASSERT_EQ(threads_seen.size(), jobs.size());
+  for (const int threads : threads_seen) {
+    EXPECT_EQ(threads, 1);
+  }
 }
 
 TEST(JobCodec, FailureRoundTripsThroughJson) {

@@ -9,11 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <future>
 #include <optional>
 #include <string>
 #include <sys/stat.h>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,15 +21,14 @@
 #include "src/runner/checkpoint_runner.h"
 #include "src/runner/coordinator.h"
 #include "src/runner/job_codec.h"
-#include "src/runner/resilient.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/supervisor.h"
 #include "src/runner/sweep.h"
-#include "src/runner/thread_pool.h"
 #include "src/runner/work_queue.h"
 #include "src/runner/worker.h"
 #include "src/snapshot/serializer.h"
 #include "src/snapshot/snapshot_file.h"
+#include "tests/socket_campaign.h"
 
 namespace memtis {
 namespace {
@@ -527,7 +524,7 @@ TEST(Checkpoint, SupervisedRefusalIsStructuredInvalidSpec) {
   sup.checkpoint_ns = kIntervalNs;
   sup.checkpoint_dir = TempDirFor("ck_refuse");
   const SupervisedOutcome outcome =
-      RunJobSupervised(CheckpointableSpec("nimble", 42), sup);
+      RunJobSupervised(CheckpointableSpec("nimble", 42), 0, sup);
   EXPECT_FALSE(outcome.ok);
   EXPECT_EQ(outcome.failure.kind, FailureKind::kInvalidSpec);
   EXPECT_NE(outcome.failure.message.find("checkpoint"), std::string::npos)
@@ -551,7 +548,7 @@ TEST(Checkpoint, KilledChildResumesByteIdentical) {
         sup.checkpoint_dir = TempDirFor("ck_kill_" + system +
                                         std::to_string(seed) + kill_after);
         ScopedEnv kill("MEMTIS_KILL_AFTER_CHECKPOINTS", kill_after);
-        const SupervisedOutcome outcome = RunJobSupervised(spec, sup);
+        const SupervisedOutcome outcome = RunJobSupervised(spec, 0, sup);
         ASSERT_TRUE(outcome.ok)
             << system << " seed " << seed << " kill@" << kill_after << ": "
             << outcome.failure.message;
@@ -571,7 +568,7 @@ TEST(Checkpoint, KilledChildResumesUnderStormAndAudit) {
     sup.checkpoint_ns = kIntervalNs;
     sup.checkpoint_dir = TempDirFor("ck_storm_" + system);
     ScopedEnv kill("MEMTIS_KILL_AFTER_CHECKPOINTS", "1");
-    const SupervisedOutcome outcome = RunJobSupervised(spec, sup);
+    const SupervisedOutcome outcome = RunJobSupervised(spec, 0, sup);
     ASSERT_TRUE(outcome.ok) << outcome.failure.message;
     // The full audit document and epoch telemetry ride in ResultBytes.
     EXPECT_EQ(ResultBytes(outcome.result), reference) << system;
@@ -592,55 +589,25 @@ TEST(Checkpoint, FourWorkerCampaignWithKillsIsByteIdentical) {
   sweep.seeds = 2;
   const std::vector<JobSpec> jobs = ExpandJobs(sweep);
 
-  ExecOptions exec;
-  exec.supervise = true;
-  ThreadPool pool(2);
-  const std::vector<CellOutcome> reference = RunJobsResilient(jobs, pool, exec);
+  const std::vector<CellOutcome> reference =
+      RunJobsResilient(jobs, CampaignOptions{}, 2);
 
   const std::string ckpt_dir = TempDirFor("ck_dist");
   CampaignOptions options;
   options.checkpoint_ns = kIntervalNs;
   options.lease_timeout_ms = 4'000;
 
-  std::vector<CellOutcome> outcomes;
-  CampaignStats stats;
-  std::string error;
-  std::promise<uint16_t> port_promise;
-  std::shared_future<uint16_t> port_future(port_promise.get_future());
-  ScopedEnv kill("MEMTIS_KILL_AFTER_CHECKPOINTS", "1");
-
-  std::thread coordinator([&] {
-    outcomes = ServeSocketCampaign(
-        jobs, options, NetAddress{},
-        [&](uint16_t bound) { port_promise.set_value(bound); }, {}, nullptr,
-        &stats, &error);
-  });
-  std::vector<std::thread> workers;
+  std::vector<WorkerOptions> workers(4);
   for (int i = 0; i < 4; ++i) {
-    workers.emplace_back([&, i] {
-      WorkerOptions opts;
-      opts.name = "ck" + std::to_string(i);
-      opts.checkpoint_dir = ckpt_dir;  // shared: peers resume each other
-      if (i == 0) {
-        opts.kill_after_cells = 1;  // soft-die holding the second lease
-      }
-      if (i == 1) {
-        opts.result_batch = 4;  // batched results merge identically
-      }
-      NetAddress addr;
-      addr.port = port_future.get();
-      std::string queue_error;
-      auto queue = MakeSocketWorkQueue(addr, opts.name, 5'000, &queue_error);
-      ASSERT_NE(queue, nullptr) << queue_error;
-      RunWorker(*queue, opts);
-    });
+    workers[i].name = "ck" + std::to_string(i);
+    workers[i].checkpoint_dir = ckpt_dir;  // shared: peers resume each other
   }
-  for (std::thread& t : workers) {
-    t.join();
-  }
-  coordinator.join();
+  workers[0].kill_after_cells = 1;  // soft-die holding the second lease
+  ScopedEnv kill("MEMTIS_KILL_AFTER_CHECKPOINTS", "1");
+  const SocketCampaignRun run = RunSocketCampaign(jobs, options, workers);
+  const std::vector<CellOutcome>& outcomes = run.outcomes;
 
-  ASSERT_TRUE(error.empty()) << error;
+  ASSERT_TRUE(run.error.empty()) << run.error;
   ASSERT_EQ(outcomes.size(), reference.size());
   for (size_t i = 0; i < outcomes.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok) << "cell " << i << ": "
