@@ -71,7 +71,7 @@ echo "== fifth pass: 3-tenant churn colocation under MEMTIS_AUDIT=1 =="
 # the abort-on-violation auditor, so any per-tenant conservation, quota, or
 # borrow-window violation (including at the churn boundaries) kills the run.
 COLO_OUT="$BUILD_DIR/colocate_churn.json"
-MEMTIS_AUDIT=1 "$MEMTIS_RUN" --quiet --accesses=120000 \
+MEMTIS_AUDIT=1 "$MEMTIS_RUN" --quiet --accesses=120000 --indent=0 \
     "--colocate=silo,quota=0.5,weight=2;pagerank,quota=0.25;btree,name=churner,arrive=5000000,accesses=30000" \
     --out="$COLO_OUT"
 grep -q '"kind":"colocation"' "$COLO_OUT" || {

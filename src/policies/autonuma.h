@@ -47,6 +47,12 @@ class AutoNumaPolicy : public TieringPolicy {
     }
   }
 
+  // Batched replay: unarmed accesses do nothing, so AbsorbRun stays a no-op.
+  uint64_t RunAbsorbLimit(PolicyContext& ctx, bool is_write) override {
+    (void)is_write;
+    return arm_.RunAbsorbLimit(ctx);
+  }
+
   void Tick(PolicyContext& ctx) override {
     if (ctx.now_ns < next_scan_ns_) {
       return;

@@ -46,6 +46,12 @@ class AutoTieringPolicy : public TieringPolicy {
   void OnAccess(PolicyContext& ctx, PageIndex index, PageInfo& page,
                 const Access& access) override;
 
+  // Batched replay: unarmed accesses do nothing, so AbsorbRun stays a no-op.
+  uint64_t RunAbsorbLimit(PolicyContext& ctx, bool is_write) override {
+    (void)is_write;
+    return arm_.RunAbsorbLimit(ctx);
+  }
+
   void Tick(PolicyContext& ctx) override;
 
   AllocOptions PlacementFor(PolicyContext& ctx, uint64_t bytes, bool use_thp) override {

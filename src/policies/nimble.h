@@ -40,6 +40,21 @@ class NimblePolicy : public TieringPolicy {
     scanner_.MarkAccessed(index);
   }
 
+  // Batched replay: marking a page referenced is idempotent.
+  uint64_t RunAbsorbLimit(PolicyContext& ctx, bool is_write) override {
+    (void)ctx;
+    (void)is_write;
+    return kAbsorbAll;
+  }
+  void AbsorbRun(PolicyContext& ctx, PageIndex index, PageInfo& page,
+                 const Access& access, uint64_t n) override {
+    (void)ctx;
+    (void)page;
+    (void)access;
+    (void)n;
+    scanner_.MarkAccessed(index);
+  }
+
   void Tick(PolicyContext& ctx) override;
 
   ClassifiedSizes Classify(PolicyContext& ctx) override;

@@ -193,6 +193,15 @@ class HintFaultArm {
     }
   }
 
+  // Batched replay: an armed run page takes its fault on the first access,
+  // on the scalar path. Any other page stays unarmed until the next
+  // ArmBatch, which runs only inside Tick, so every access to it is absorbable.
+  uint64_t RunAbsorbLimit(const PolicyContext& ctx) const {
+    return (ctx.run_page->policy_word0 & armed_bit_) != 0
+               ? 0
+               : TieringPolicy::kAbsorbAll;
+  }
+
   // Returns true (and disarms) when this access hits an armed page; the
   // caller charges the hint fault and runs its promotion logic.
   bool ConsumeFault(PageInfo& page) const {

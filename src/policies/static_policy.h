@@ -28,6 +28,13 @@ class StaticPolicy : public TieringPolicy {
     (void)access;
   }
 
+  // Batched replay: OnAccess is a no-op, so every access absorbs.
+  uint64_t RunAbsorbLimit(PolicyContext& ctx, bool is_write) override {
+    (void)ctx;
+    (void)is_write;
+    return kAbsorbAll;
+  }
+
   AllocOptions PlacementFor(PolicyContext& ctx, uint64_t bytes, bool use_thp) override {
     (void)ctx;
     (void)bytes;

@@ -42,6 +42,21 @@ class TppPolicy : public TieringPolicy {
   void OnAccess(PolicyContext& ctx, PageIndex index, PageInfo& page,
                 const Access& access) override;
 
+  // Batched replay: an unarmed access only sets the reference bit, which is
+  // idempotent.
+  uint64_t RunAbsorbLimit(PolicyContext& ctx, bool is_write) override {
+    (void)is_write;
+    return arm_.RunAbsorbLimit(ctx);
+  }
+  void AbsorbRun(PolicyContext& ctx, PageIndex index, PageInfo& page,
+                 const Access& access, uint64_t n) override {
+    (void)ctx;
+    (void)index;
+    (void)access;
+    (void)n;
+    page.policy_word0 |= kReferencedBit;
+  }
+
   void Tick(PolicyContext& ctx) override;
 
   ClassifiedSizes Classify(PolicyContext& ctx) override;

@@ -207,14 +207,19 @@ void Engine::DoAccessRun(Vaddr addr, uint64_t count, uint64_t stride,
     }
     const PageIndex index = mem_.Lookup(vpn);
     uint64_t m = 0;
+    // The policy's next real event (a PEBS sample) falls on access limit+1
+    // of the run; when that is on this page, the segment ends on it and
+    // delivers it in place instead of taking it on the scalar path.
+    bool deliver = false;
     if (index != kInvalidPage && k > 1) {
-      // How many upcoming accesses the policy can provably absorb (for
-      // sampler-gated policies: pure countdown decrements, no sample due).
-      m = std::min(k, policy_.RunAbsorbLimit(ctx_, is_write));
+      ctx_.run_page = &mem_.page(index);
+      const uint64_t limit = policy_.RunAbsorbLimit(ctx_, is_write);
+      deliver = limit < k;
+      m = deliver ? limit + 1 : k;
     }
     if (m <= 1) {
-      // Demand fault, page boundary, non-batchable policy, or a sample due on
-      // the very next access: one exact scalar access, then re-evaluate.
+      // Demand fault, page boundary, non-batchable policy, or an event due
+      // on the very next access: one exact scalar access, then re-evaluate.
       DoAccessImpl(addr, is_write);
       addr += stride;
       --count;
@@ -243,13 +248,19 @@ void Engine::DoAccessRun(Vaddr addr, uint64_t count, uint64_t stride,
     // every access, so no interior access may land past it. Cap the segment
     // at the first access whose post-access timestamp reaches the deadline —
     // that access is still part of the segment (counters first, then the
-    // deadline check fires), matching scalar order bit for bit.
+    // deadline check fires), matching scalar order bit for bit. A segment
+    // cut short ends before its delivering access, so it only absorbs.
     const uint64_t t1 = now_ns_ + first_ns;
     if (t1 >= next_event_ns_) {
       m = 1;
+      deliver = false;
     } else if (step_ns > 0) {
       const uint64_t r = next_event_ns_ - t1;  // >= 1
-      m = std::min(m, 2 + (r - 1) / step_ns);
+      const uint64_t cap = 2 + (r - 1) / step_ns;
+      if (cap < m) {
+        m = cap;
+        deliver = false;
+      }
     }
 
     if (kind == PageKind::kHuge) {
@@ -266,8 +277,16 @@ void Engine::DoAccessRun(Vaddr addr, uint64_t count, uint64_t stride,
 
     now_ns_ += first_ns + (m - 1) * step_ns;
     ctx_.now_ns = now_ns_;
-    policy_.AbsorbRun(ctx_, index, page, Access{addr, is_write}, m);
+    // The absorbed accesses move no clock, so the delivering access sees the
+    // `now_ns` the scalar path would give it.
+    const uint64_t absorbed = deliver ? m - 1 : m;
+    policy_.AbsorbRun(ctx_, index, page, Access{addr, is_write}, absorbed);
     SIM_DCHECK(ctx_.pending_app_ns == 0);
+    if (deliver) {
+      policy_.OnAccess(ctx_, index, page,
+                       Access{addr + absorbed * stride, is_write});
+      DrainPendingAppTime();
+    }
 
     addr += m * stride;
     count -= m;

@@ -89,10 +89,13 @@ class Engine {
   void DoAccess(Vaddr addr, bool is_write);
   // Batched replay: `count` accesses starting at `addr`, advancing by `stride`
   // bytes each. Coalesces same-page runs (one lookup/TLB probe/latency fetch
-  // per run, bulk counter deltas, sampler absorption) and falls back to the
-  // scalar path at page boundaries, demand faults, sample deliveries, and tick
-  // deadlines — metrics, audit documents, and traces are bit-identical to
-  // issuing `count` DoAccess calls.
+  // per run, bulk counter deltas, one AbsorbRun for the policy) and falls
+  // back to the scalar path at page boundaries, demand faults, and events due
+  // on a segment's first access (an armed hint-fault page, a sample due on
+  // the next access). A segment ends at the tick/snapshot deadline, or on the
+  // policy's next event, which it delivers in place through OnAccess.
+  // Metrics, audit documents, and traces are bit-identical to issuing
+  // `count` DoAccess calls.
   void DoAccessRun(Vaddr addr, uint64_t count, uint64_t stride, bool is_write);
   Vaddr DoAlloc(uint64_t bytes, bool use_thp);
   void DoFree(Vaddr start);

@@ -39,6 +39,11 @@ struct PolicyContext {
   // event; the engine drains this after each hook.
   uint64_t pending_app_ns = 0;
 
+  // The page backing the same-page run whose absorb limit the engine is
+  // asking for: set by Engine::DoAccessRun just before each RunAbsorbLimit
+  // call and meaningful only inside it.
+  const PageInfo* run_page = nullptr;
+
   void ChargeApp(uint64_t ns) { pending_app_ns += ns; }
   void ChargeDaemon(DaemonKind kind, uint64_t ns) { cpu.Charge(kind, ns); }
 };
@@ -59,15 +64,24 @@ class TieringPolicy {
 
   // --- Batched replay (Engine::DoAccessRun) -----------------------------------
   //
-  // A policy whose OnAccess is a provable no-op for the next k accesses of the
-  // given kind (e.g. PEBS countdown decrements that cannot deliver a sample)
+  // A policy whose next k OnAccess calls for accesses of the given kind to
+  // ctx.run_page reduce to one bulk update (a PEBS countdown that cannot reach
+  // a sample, a page not armed for a hint fault, an idempotent reference mark)
   // may return k here; the engine then replaces up to k consecutive same-page
-  // OnAccess calls with one AbsorbRun(n). The contract is strict byte
-  // identity: AbsorbRun(n) must leave the policy in exactly the state n scalar
-  // OnAccess calls (each returning without side effects beyond its internal
-  // countdown) would have, and must not touch ctx (no ChargeApp/ChargeDaemon,
-  // no migrations). The default — absorb nothing — keeps every existing policy
-  // on the scalar path.
+  // OnAccess calls with one AbsorbRun(n). The contract is strict byte identity:
+  // AbsorbRun(n) must leave the policy in exactly the state n scalar OnAccess
+  // calls would have, and must not touch ctx (no ChargeApp or ChargeDaemon, no
+  // migrations, no RNG draws). kAbsorbAll means no access to this page can do
+  // more than AbsorbRun does until the next Tick; segments never cross a tick
+  // deadline. The default, absorb nothing, keeps a policy on the scalar path.
+  //
+  // Fused delivery: when the limit L is smaller than the run's remaining
+  // same-page accesses, access L+1 is the policy's next real event. Unless
+  // the tick/snapshot deadline cuts the segment first, the engine ends the
+  // segment on it: AbsorbRun(L), then OnAccess for that access (same page,
+  // same `now_ns` as the scalar path), then drains ChargeApp time.
+  static constexpr uint64_t kAbsorbAll = UINT64_MAX;
+
   virtual uint64_t RunAbsorbLimit(PolicyContext& ctx, bool is_write) {
     (void)ctx;
     (void)is_write;

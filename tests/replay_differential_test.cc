@@ -117,6 +117,240 @@ TEST_P(ReplayDifferentialTest, ScalarAndBatchedReplayMatchUnderFaultStorm) {
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplayDifferentialTest,
                          ::testing::ValuesIn(KnownPolicyNames()));
 
+// --- Absorb coverage --------------------------------------------------------
+
+// Forwards every hook to the wrapped policy, ctx included, and counts the
+// per-access calls that reach it.
+class CountingPolicy : public TieringPolicy {
+ public:
+  explicit CountingPolicy(std::unique_ptr<TieringPolicy> inner)
+      : inner_(std::move(inner)) {}
+
+  uint64_t on_access_calls() const { return on_access_calls_; }
+
+  std::string_view name() const override { return inner_->name(); }
+  void Init(PolicyContext& ctx) override { inner_->Init(ctx); }
+  void OnAccess(PolicyContext& ctx, PageIndex index, PageInfo& page,
+                const Access& access) override {
+    ++on_access_calls_;
+    inner_->OnAccess(ctx, index, page, access);
+  }
+  uint64_t RunAbsorbLimit(PolicyContext& ctx, bool is_write) override {
+    return inner_->RunAbsorbLimit(ctx, is_write);
+  }
+  void AbsorbRun(PolicyContext& ctx, PageIndex index, PageInfo& page,
+                 const Access& access, uint64_t n) override {
+    inner_->AbsorbRun(ctx, index, page, access, n);
+  }
+  void OnPageAllocated(PolicyContext& ctx, PageIndex index,
+                       PageInfo& page) override {
+    inner_->OnPageAllocated(ctx, index, page);
+  }
+  void OnPageFreed(PolicyContext& ctx, PageIndex index, PageInfo& page) override {
+    inner_->OnPageFreed(ctx, index, page);
+  }
+  void Tick(PolicyContext& ctx) override { inner_->Tick(ctx); }
+  AllocOptions PlacementFor(PolicyContext& ctx, uint64_t bytes,
+                            bool use_thp) override {
+    return inner_->PlacementFor(ctx, bytes, use_thp);
+  }
+  ClassifiedSizes Classify(PolicyContext& ctx) override {
+    return inner_->Classify(ctx);
+  }
+  bool SupportsCheckpoint() const override { return inner_->SupportsCheckpoint(); }
+  void SaveState(StateWriter& w) const override { inner_->SaveState(w); }
+  void LoadState(StateReader& r) override { inner_->LoadState(r); }
+
+ private:
+  std::unique_ptr<TieringPolicy> inner_;
+  uint64_t on_access_calls_ = 0;
+};
+
+// Under hint faults, page-table scans and static placement, a touch of an
+// unarmed (or already referenced) page costs the tracker nothing, so a
+// same-page run must reach OnAccess only where something happens: an armed
+// page's fault, or the workload's scalar pokes. PEBS policies stay
+// sample-bound; the differential above covers them.
+TEST(ReplayDifferential, EveryPolicyAbsorbsSamePageRuns) {
+  int checked = 0;
+  for (const std::string& name : KnownPolicyNames()) {
+    if (name.starts_with("memtis") || name.starts_with("hemem")) {
+      continue;
+    }
+    ++checked;
+    StreamWorkload workload(StreamParams(/*use_runs=*/true));
+    CountingPolicy policy(MakePolicy(name, workload.footprint_bytes(),
+                                     workload.footprint_bytes() / 3));
+    EngineOptions opts;
+    opts.max_accesses = kAccesses;
+    Engine engine(MachineFor(workload, 1.0 / 3.0), policy, opts);
+    const Metrics metrics = engine.Run(workload);
+    ASSERT_GE(metrics.accesses, kAccesses);
+    EXPECT_LE(policy.on_access_calls() * 100, metrics.accesses)
+        << name << ": " << policy.on_access_calls() << " OnAccess calls for "
+        << metrics.accesses << " accesses";
+  }
+  // Four hint-fault, two page-table-scan and three static entries.
+  EXPECT_EQ(checked, 9);
+}
+
+// --- Fused delivery at the tick deadline ------------------------------------
+
+// One event every `period` accesses, absorbable up to it: the smallest
+// sampler-gated policy, with a period that never adapts. Each event charges
+// the app, so a misplaced drain shifts every later timestamp. `record` holds
+// the events and ticks in order; `call_ns` every OnAccess's clock.
+class CountdownPolicy : public TieringPolicy {
+ public:
+  static constexpr uint64_t kEventNs = 1000;
+
+  explicit CountdownPolicy(uint64_t period)
+      : period_(period), countdown_(period) {}
+
+  std::string_view name() const override { return "countdown"; }
+
+  void OnAccess(PolicyContext& ctx, PageIndex index, PageInfo& page,
+                const Access& access) override {
+    (void)index;
+    (void)page;
+    call_ns.push_back(ctx.now_ns);
+    if (--countdown_ > 0) {
+      return;
+    }
+    countdown_ = period_;
+    ++events;
+    record += "event " + std::to_string(access.addr) + " @" +
+              std::to_string(ctx.now_ns) + "\n";
+    ctx.ChargeApp(kEventNs);
+  }
+  uint64_t RunAbsorbLimit(PolicyContext& ctx, bool is_write) override {
+    (void)ctx;
+    (void)is_write;
+    if (countdown_ == 1) {
+      ++zero_limits;
+    }
+    return countdown_ - 1;
+  }
+  void AbsorbRun(PolicyContext& ctx, PageIndex index, PageInfo& page,
+                 const Access& access, uint64_t n) override {
+    (void)ctx;
+    (void)index;
+    (void)page;
+    (void)access;
+    countdown_ -= n;
+  }
+  void Tick(PolicyContext& ctx) override {
+    record += "tick @" + std::to_string(ctx.now_ns) + "\n";
+  }
+
+  std::string record;
+  std::vector<uint64_t> call_ns;
+  uint64_t events = 0;
+  uint64_t zero_limits = 0;
+
+ private:
+  uint64_t period_;
+  uint64_t countdown_;
+};
+
+// Sweeps 4 KiB pages of one huge page, one 64-access run per page.
+class PageRunWorkload : public Workload {
+ public:
+  explicit PageRunWorkload(bool use_runs) : use_runs_(use_runs) {}
+
+  std::string_view name() const override { return "page-runs"; }
+  uint64_t footprint_bytes() const override { return kHugePageSize; }
+
+  void Setup(App& app, Rng& rng) override {
+    (void)rng;
+    base_ = app.Alloc(kHugePageSize);
+  }
+
+  bool Step(App& app, Rng& rng) override {
+    (void)rng;
+    const Vaddr page = base_ + (step_++ % kSubpagesPerHuge) * kPageSize;
+    if (use_runs_) {
+      app.ReadRun(page, kRun, kStride);
+    } else {
+      for (uint64_t i = 0; i < kRun; ++i) {
+        app.Read(page + i * kStride);
+      }
+    }
+    return true;
+  }
+
+  static constexpr uint64_t kRun = 64;
+  static constexpr uint64_t kStride = 64;
+
+ private:
+  bool use_runs_;
+  Vaddr base_ = 0;
+  uint64_t step_ = 0;
+};
+
+constexpr uint64_t kSeamPeriod = 24;
+
+struct SeamRun {
+  std::string record;
+  std::string metrics_json;
+  std::vector<uint64_t> call_ns;
+  uint64_t events = 0;
+  uint64_t zero_limits = 0;
+};
+
+SeamRun RunSeam(bool use_runs, uint64_t tick_quantum_ns) {
+  PageRunWorkload workload(use_runs);
+  CountdownPolicy policy(kSeamPeriod);
+  EngineOptions opts;
+  opts.max_accesses = PageRunWorkload::kRun;
+  opts.tick_quantum_ns = tick_quantum_ns;
+  Engine engine(MakeDramOnlyMachine(kHugePageSize), policy, opts);
+  SeamRun out;
+  out.metrics_json = engine.Run(workload).ToJson(2);
+  out.record = policy.record;
+  out.call_ns = policy.call_ns;
+  out.events = policy.events;
+  out.zero_limits = policy.zero_limits;
+  return out;
+}
+
+// The post-access clock of access `i` (1-based) of the first run, read off
+// the scalar twin with no tick in the way.
+uint64_t ScalarAccessNs(uint64_t i) {
+  return RunSeam(/*use_runs=*/false, /*tick_quantum_ns=*/1'000'000'000)
+      .call_ns.at(i - 1);
+}
+
+// The deadline lands exactly on the sampled access: the segment still ends
+// on it and delivers it in place, so the event precedes the tick and the
+// engine never asks for a limit of 0. Batched, OnAccess runs only for events.
+TEST(ReplayDifferential, FusedDeliveryOnTheDeadlineAccess) {
+  const uint64_t deadline = ScalarAccessNs(kSeamPeriod);
+  const SeamRun batched = RunSeam(/*use_runs=*/true, deadline);
+  const SeamRun scalar = RunSeam(/*use_runs=*/false, deadline);
+  EXPECT_EQ(batched.record, scalar.record);
+  EXPECT_EQ(batched.metrics_json, scalar.metrics_json);
+  EXPECT_LT(batched.record.find("event"), batched.record.find("tick"))
+      << batched.record;
+  EXPECT_EQ(batched.call_ns.size(), batched.events);
+  EXPECT_EQ(batched.zero_limits, 0u);
+}
+
+// The deadline falls one access before the sampled access: the segment stops
+// there and only absorbs; the tick runs, and the sampled access follows on
+// the scalar path.
+TEST(ReplayDifferential, DeadlineOneAccessBeforeDeliveryOnlyAbsorbs) {
+  const uint64_t deadline = ScalarAccessNs(kSeamPeriod - 1);
+  const SeamRun batched = RunSeam(/*use_runs=*/true, deadline);
+  const SeamRun scalar = RunSeam(/*use_runs=*/false, deadline);
+  EXPECT_EQ(batched.record, scalar.record);
+  EXPECT_EQ(batched.metrics_json, scalar.metrics_json);
+  EXPECT_LT(batched.record.find("tick"), batched.record.find("event"))
+      << batched.record;
+  EXPECT_EQ(batched.call_ns.size(), batched.events);
+  EXPECT_EQ(batched.zero_limits, 1u);
+}
+
 // --- Sharded execution pins -------------------------------------------------
 
 Metrics RunPlainEngine(const std::string& policy_name, uint64_t seed) {
@@ -251,9 +485,12 @@ class FuzzRunWorkload : public Workload {
 };
 
 // Policies that exercise every structural mutation the batched path can race
-// with: memtis splits/collapses/migrates, hemem-exchange swaps frames.
+// with: memtis splits/collapses/migrates, hemem-exchange swaps frames,
+// autotiering exchanges on a hint fault, tiering-0.8 draws its admission
+// from the engine RNG on the fault path, and tpp keeps reference bits.
 TEST(ReplayFuzz, BatchedRunsInterleavedWithStructuralMutation) {
-  for (const char* policy_name : {"memtis", "hemem-exchange"}) {
+  for (const char* policy_name :
+       {"memtis", "hemem-exchange", "autotiering", "tiering-0.8", "tpp"}) {
     for (const uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
       ReplayOutput out[2];
       for (const bool use_runs : {true, false}) {
