@@ -20,11 +20,11 @@
 # repo's first intra-cell threading, and an eighth pass re-running the
 # distributed-campaign chaos/differential suite (multi-worker byte-identity,
 # killed/hung workers, coordinator SIGKILL + --resume restart, wire-protocol
-# fuzz) under the sanitizers, since the coordinator/worker layer is the
-# repo's first socket and multi-process I/O, and a ninth pass driving the
-# snapshot plane's kill-storm (kill-anywhere differentials, snapshot-loader
-# corruption fuzzers, real-SIGKILL checkpoint smoke) under the same
-# sanitizers.
+# and JSON-codec fuzz) under the sanitizers, since the coordinator/worker
+# layer is the repo's first socket and multi-process I/O, and a ninth pass
+# driving the snapshot plane's kill-storm (kill-anywhere differentials,
+# snapshot-loader corruption fuzzers, real-SIGKILL checkpoint smoke) under
+# the same sanitizers.
 # Usage:
 #
 #   scripts/check.sh [build-dir]
@@ -120,12 +120,14 @@ echo "sharded-engine TSan pass: clean"
 echo "== eighth pass: distributed campaign chaos under ASan/UBSan =="
 # The multi-worker campaign suite — differential byte-identity at 1 and 4
 # workers, killed and hung workers, lease-expiry caps, coordinator restart
-# from a torn --resume manifest — plus the wire-protocol fuzzers and the
-# real-SIGKILL smoke script, all in the sanitized build so every socket and
-# fork path is leak- and UB-checked end to end.
+# from a torn --resume manifest — plus the wire-protocol fuzzers, the
+# manifest fuzzer, the JSON field-list codec cases (the decoder reads
+# untrusted manifest and wire bytes) and the real-SIGKILL smoke script, all
+# in the sanitized build so every socket, fork and decode path is leak- and
+# UB-checked end to end.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" \
     -R '(Distributed\.|Campaign\.|smoke_distributed)'
-"$BUILD_DIR/tests/fuzz_test" --gtest_filter='Fuzz.FrameDecoder*:Fuzz.Protocol*:Fuzz.Coordinator*:Fuzz.JobSpecJson*'
+"$BUILD_DIR/tests/fuzz_test" --gtest_filter='Fuzz.FrameDecoder*:Fuzz.Protocol*:Fuzz.Coordinator*:Fuzz.JobSpecJson*:Fuzz.ManifestRoundTrip*:Codec.*'
 echo "distributed chaos pass: clean"
 echo "== ninth pass: checkpoint kill-storm under ASan/UBSan =="
 # The snapshot plane end to end in the sanitized build: serializer/envelope

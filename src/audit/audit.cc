@@ -5,8 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
-#include "src/common/json.h"
-#include "src/common/json_parse.h"
+#include "src/common/json_fields.h"
 #include "src/memtis/memtis_policy.h"
 #include "src/snapshot/serializer.h"
 
@@ -14,25 +13,7 @@ namespace memtis {
 
 // --- AuditReport --------------------------------------------------------------
 
-void AuditReport::WriteJson(JsonWriter& w) const {
-  w.BeginObject();
-  w.Field("ok", ok());
-  w.Field("ticks_audited", ticks_audited);
-  w.Field("checks_run", checks_run);
-  w.Field("violations_total", violations_total);
-  w.Key("violations");
-  w.BeginArray();
-  for (const AuditViolation& v : violations) {
-    w.BeginObject();
-    w.Field("invariant", v.invariant);
-    w.Field("detail", v.detail);
-    w.Field("t_ns", v.t_ns);
-    w.Field("tick", v.tick);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-}
+void AuditReport::WriteJson(JsonWriter& w) const { EncodeJson(w, *this); }
 
 std::string AuditReport::ToJson(int indent) const {
   std::string out;
@@ -42,24 +23,7 @@ std::string AuditReport::ToJson(int indent) const {
 }
 
 bool AuditReport::FromJson(const JsonValue& v, AuditReport* out) {
-  if (!v.is_object()) {
-    return false;
-  }
-  *out = AuditReport();
-  out->ticks_audited = v.GetUint("ticks_audited");
-  out->checks_run = v.GetUint("checks_run");
-  out->violations_total = v.GetUint("violations_total");
-  if (const JsonValue* violations = v.Find("violations");
-      violations != nullptr) {
-    out->violations.reserve(violations->size());
-    for (size_t i = 0; i < violations->size(); ++i) {
-      const JsonValue& entry = violations->at(i);
-      out->violations.push_back(AuditViolation{
-          entry.GetString("invariant"), entry.GetString("detail"),
-          entry.GetUint("t_ns"), entry.GetUint("tick")});
-    }
-  }
-  return true;
+  return DecodeJson(v, out);
 }
 
 // --- AuditCollector -----------------------------------------------------------

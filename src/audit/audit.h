@@ -38,6 +38,14 @@ struct AuditViolation {
   std::string detail;     // human-readable mismatch description
   uint64_t t_ns = 0;      // virtual time of the audit point
   uint64_t tick = 0;      // engine tick count at the audit point (0 = pre-tick)
+
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("invariant", invariant);
+    v.Field("detail", detail);
+    v.Field("t_ns", t_ns);
+    v.Field("tick", tick);
+  }
 };
 
 // Aggregate outcome of a run's audits.
@@ -50,12 +58,24 @@ struct AuditReport {
 
   bool ok() const { return violations_total == 0; }
 
+  // The one JSON field list (src/common/json_fields.h); WriteJson, ToJson
+  // and FromJson all walk it, so a new field is added here only.
+  template <class V>
+  void VisitFields(V& v) {
+    v.Derived("ok", [this] { return ok(); });
+    v.Field("ticks_audited", ticks_audited);
+    v.Field("checks_run", checks_run);
+    v.Field("violations_total", violations_total);
+    v.Array("violations", violations);
+  }
+
   void WriteJson(JsonWriter& w) const;
   std::string ToJson(int indent = 0) const;
 
-  // Inverse of WriteJson, used by the runner's result codec so supervised
-  // children can stream audit outcomes back over the pipe and --resume can
-  // reload them. Returns false when `v` is not a JSON object.
+  // Decodes the field list, so supervised children can stream audit
+  // outcomes back over the pipe, --resume can reload them and snapshots can
+  // restore them. False when `v` is not an object or a field has the wrong
+  // kind.
   static bool FromJson(const JsonValue& v, AuditReport* out);
 };
 

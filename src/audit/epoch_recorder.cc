@@ -2,99 +2,16 @@
 
 #include <algorithm>
 
-#include "src/common/json.h"
-#include "src/common/json_parse.h"
+#include "src/common/json_fields.h"
 #include "src/memtis/memtis_policy.h"
 #include "src/snapshot/serializer.h"
 
 namespace memtis {
 
-void EpochSample::WriteJson(JsonWriter& w) const {
-  w.BeginObject();
-  w.Field("epoch", epoch);
-  w.Field("t_ns", t_ns);
-  w.Field("accesses", accesses);
-  w.Field("promoted_4k", promoted_4k);
-  w.Field("demoted_4k", demoted_4k);
-  w.Field("splits", splits);
-  w.Field("collapses", collapses);
-  w.Field("demand_faults", demand_faults);
-  w.Field("shootdowns", shootdowns);
-  w.Field("samples", samples);
-  w.Field("period_raises", period_raises);
-  w.Field("period_drops", period_drops);
-  w.Field("fast_used_pages", fast_used_pages);
-  w.Field("rss_pages", rss_pages);
-  if (!tenant_fast_pages.empty()) {
-    w.Key("tenant_fast_pages");
-    w.BeginArray();
-    for (const uint64_t pages : tenant_fast_pages) {
-      w.Uint(pages);
-    }
-    w.EndArray();
-  }
-  w.Field("memtis", memtis);
-  if (memtis) {
-    w.Field("load_period", load_period);
-    w.Field("store_period", store_period);
-    w.Field("hot_bin", hot_bin);
-    w.Field("warm_bin", warm_bin);
-    w.Field("cold_bin", cold_bin);
-    w.Key("hist_bins");
-    w.BeginArray();
-    for (const uint64_t b : hist_bins) {
-      w.Uint(b);
-    }
-    w.EndArray();
-    w.Field("promotion_backlog", promotion_backlog);
-    w.Field("demotion_backlog", demotion_backlog);
-    w.Field("split_backlog", split_backlog);
-  }
-  w.EndObject();
-}
+void EpochSample::WriteJson(JsonWriter& w) const { EncodeJson(w, *this); }
 
 bool EpochSample::FromJson(const JsonValue& v, EpochSample* out) {
-  if (!v.is_object()) {
-    return false;
-  }
-  *out = EpochSample();
-  out->epoch = v.GetUint("epoch");
-  out->t_ns = v.GetUint("t_ns");
-  out->accesses = v.GetUint("accesses");
-  out->promoted_4k = v.GetUint("promoted_4k");
-  out->demoted_4k = v.GetUint("demoted_4k");
-  out->splits = v.GetUint("splits");
-  out->collapses = v.GetUint("collapses");
-  out->demand_faults = v.GetUint("demand_faults");
-  out->shootdowns = v.GetUint("shootdowns");
-  out->samples = v.GetUint("samples");
-  out->period_raises = v.GetUint("period_raises");
-  out->period_drops = v.GetUint("period_drops");
-  out->fast_used_pages = v.GetUint("fast_used_pages");
-  out->rss_pages = v.GetUint("rss_pages");
-  if (const JsonValue* tenants = v.Find("tenant_fast_pages"); tenants != nullptr) {
-    out->tenant_fast_pages.reserve(tenants->size());
-    for (size_t i = 0; i < tenants->size(); ++i) {
-      out->tenant_fast_pages.push_back(tenants->at(i).AsUint());
-    }
-  }
-  out->memtis = v.GetBool("memtis");
-  if (out->memtis) {
-    out->load_period = v.GetUint("load_period");
-    out->store_period = v.GetUint("store_period");
-    out->hot_bin = static_cast<int>(v.GetInt("hot_bin", -1));
-    out->warm_bin = static_cast<int>(v.GetInt("warm_bin", -1));
-    out->cold_bin = static_cast<int>(v.GetInt("cold_bin", -1));
-    if (const JsonValue* bins = v.Find("hist_bins"); bins != nullptr) {
-      for (size_t i = 0; i < out->hist_bins.size() && i < bins->size(); ++i) {
-        out->hist_bins[i] = bins->at(i).AsUint();
-      }
-    }
-    out->promotion_backlog = v.GetUint("promotion_backlog");
-    out->demotion_backlog = v.GetUint("demotion_backlog");
-    out->split_backlog = v.GetUint("split_backlog");
-  }
-  return true;
+  return DecodeJson(v, out);
 }
 
 EpochRecorder::EpochRecorder() : EpochRecorder(Options()) {}

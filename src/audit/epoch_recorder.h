@@ -62,10 +62,46 @@ struct EpochSample {
   uint64_t demotion_backlog = 0;
   uint64_t split_backlog = 0;
 
+  // The one JSON field list (src/common/json_fields.h); WriteJson and
+  // FromJson both walk it, so a new field is added here only.
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("epoch", epoch);
+    v.Field("t_ns", t_ns);
+    v.Field("accesses", accesses);
+    v.Field("promoted_4k", promoted_4k);
+    v.Field("demoted_4k", demoted_4k);
+    v.Field("splits", splits);
+    v.Field("collapses", collapses);
+    v.Field("demand_faults", demand_faults);
+    v.Field("shootdowns", shootdowns);
+    v.Field("samples", samples);
+    v.Field("period_raises", period_raises);
+    v.Field("period_drops", period_drops);
+    v.Field("fast_used_pages", fast_used_pages);
+    v.Field("rss_pages", rss_pages);
+    if (v.WriteIf(!tenant_fast_pages.empty())) {
+      v.Array("tenant_fast_pages", tenant_fast_pages);
+    }
+    v.Field("memtis", memtis);
+    if (memtis) {
+      v.Field("load_period", load_period);
+      v.Field("store_period", store_period);
+      v.Field("hot_bin", hot_bin);
+      v.Field("warm_bin", warm_bin);
+      v.Field("cold_bin", cold_bin);
+      v.Array("hist_bins", hist_bins);
+      v.Field("promotion_backlog", promotion_backlog);
+      v.Field("demotion_backlog", demotion_backlog);
+      v.Field("split_backlog", split_backlog);
+    }
+  }
+
   void WriteJson(JsonWriter& w) const;
 
-  // Inverse of WriteJson (the MEMTIS block is only present when `memtis`),
-  // for the runner's result codec. Returns false when `v` is not an object.
+  // Decodes the field list (the MEMTIS block only when `memtis`), for the
+  // runner's result codec and snapshots. False when `v` is not an object or
+  // a field has the wrong kind.
   static bool FromJson(const JsonValue& v, EpochSample* out);
 };
 

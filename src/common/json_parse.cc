@@ -290,9 +290,11 @@ uint64_t JsonValue::AsUint(uint64_t fallback) const {
     return fallback;
   }
   // Integer tokens re-parse exactly; scientific/fractional tokens (which the
-  // writer only emits for doubles) fall back to the double path.
+  // writer only emits for doubles) fall back to the double path, and to
+  // `fallback` when out of range (casting those is undefined behaviour).
   if (scalar_.find_first_of(".eE") != std::string::npos) {
-    return static_cast<uint64_t>(std::strtod(scalar_.c_str(), nullptr));
+    const double d = std::strtod(scalar_.c_str(), nullptr);
+    return d >= 0.0 && d < 0x1p64 ? static_cast<uint64_t>(d) : fallback;
   }
   return std::strtoull(scalar_.c_str(), nullptr, 10);
 }
@@ -302,7 +304,8 @@ int64_t JsonValue::AsInt(int64_t fallback) const {
     return fallback;
   }
   if (scalar_.find_first_of(".eE") != std::string::npos) {
-    return static_cast<int64_t>(std::strtod(scalar_.c_str(), nullptr));
+    const double d = std::strtod(scalar_.c_str(), nullptr);
+    return d >= -0x1p63 && d < 0x1p63 ? static_cast<int64_t>(d) : fallback;
   }
   return std::strtoll(scalar_.c_str(), nullptr, 10);
 }

@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "src/common/json.h"
-#include "src/common/json_parse.h"
 
 namespace memtis {
 namespace {
@@ -212,42 +211,6 @@ std::string FaultPlan::ToSpec() const {
     }
   }
   return spec;
-}
-
-void FaultStats::WriteJson(JsonWriter& w) const {
-  w.BeginObject();
-  w.Field("faults_injected", total_injected());
-  w.Field("migrations_aborted", by(FaultSite::kMigrateAbort));
-  w.Field("samples_dropped", by(FaultSite::kSampleDrop));
-  // The first five sites predate the schema-stable golden files and are
-  // always present; sites added later (exchange-abort) are written only when
-  // touched, so documents from runs that never exercise them are unchanged.
-  constexpr int kLegacySites = 5;
-  for (int i = 0; i < kNumFaultSites; ++i) {
-    if (i >= kLegacySites && rolls[i] == 0 && injected[i] == 0) {
-      continue;
-    }
-    w.Key(kSiteNames[i]);
-    w.BeginObject();
-    w.Field("rolls", rolls[i]);
-    w.Field("injected", injected[i]);
-    w.EndObject();
-  }
-  w.EndObject();
-}
-
-bool FaultStats::FromJson(const JsonValue& v, FaultStats* out) {
-  if (!v.is_object()) {
-    return false;
-  }
-  *out = FaultStats();
-  for (int i = 0; i < kNumFaultSites; ++i) {
-    if (const JsonValue* site = v.Find(kSiteNames[i]); site != nullptr) {
-      out->rolls[i] = site->GetUint("rolls");
-      out->injected[i] = site->GetUint("injected");
-    }
-  }
-  return true;
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan, uint64_t run_seed)

@@ -33,9 +33,6 @@
 
 namespace memtis {
 
-class JsonWriter;
-class JsonValue;
-
 // Every injection point in the simulator. Keep FaultSiteName in sync.
 enum class FaultSite : int {
   // MemorySystem::AllocFrame: the preferred-tier buddy allocation fails (the
@@ -140,13 +137,28 @@ struct FaultStats {
     return total;
   }
 
-  void WriteJson(JsonWriter& w) const;
-
-  // Inverse of WriteJson (per-site rolls/injected counters; the derived
-  // totals are recomputed). Used by the runner's result codec so supervised
-  // children round-trip fault accounting losslessly. Returns false when `v`
-  // is not a JSON object.
-  static bool FromJson(const JsonValue& v, FaultStats* out);
+  // JSON field list (src/common/json_fields.h): the derived totals, then
+  // {"rolls","injected"} per site under the site's name.
+  template <class V>
+  void VisitFields(V& v) {
+    v.Derived("faults_injected", [this] { return total_injected(); });
+    v.Derived("migrations_aborted",
+              [this] { return by(FaultSite::kMigrateAbort); });
+    v.Derived("samples_dropped", [this] { return by(FaultSite::kSampleDrop); });
+    // The first five sites predate the schema-stable golden files and are
+    // always present; sites added later (exchange-abort) are written only
+    // when touched, so documents from runs that never exercise them are
+    // unchanged.
+    constexpr int kLegacySites = 5;
+    for (int i = 0; i < kNumFaultSites; ++i) {
+      if (v.WriteIf(i < kLegacySites || rolls[i] != 0 || injected[i] != 0)) {
+        v.Object(FaultSiteName(static_cast<FaultSite>(i)), [&](auto& site) {
+          site.Field("rolls", rolls[i]);
+          site.Field("injected", injected[i]);
+        });
+      }
+    }
+  }
 };
 
 // Evaluates a FaultPlan at the injection sites. One injector per run, owned

@@ -74,6 +74,33 @@ struct MigrationStats {
   uint64_t exchanged_4k() const {
     return 2 * ((exchanges - exchanged_huge) + exchanged_huge * kSubpagesPerHuge);
   }
+
+  // JSON field list (src/common/json_fields.h).
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("promoted_base", promoted_base);
+    v.Field("promoted_huge", promoted_huge);
+    v.Field("demoted_base", demoted_base);
+    v.Field("demoted_huge", demoted_huge);
+    v.Field("failed_migrations", failed_migrations);
+    v.Field("aborted_migrations", aborted_migrations);
+    v.Field("splits", splits);
+    v.Field("collapses", collapses);
+    v.Field("freed_zero_subpages", freed_zero_subpages);
+    v.Field("demand_faults", demand_faults);
+    // Exchange counters postdate the schema-stable goldens: omitted while all
+    // zero so documents from exchange-free runs are byte-identical.
+    if (v.WriteIf(exchanges != 0 || failed_exchanges != 0 ||
+                  aborted_exchanges != 0)) {
+      v.Field("exchanges", exchanges);
+      v.Field("exchanged_huge", exchanged_huge);
+      v.Field("failed_exchanges", failed_exchanges);
+      v.Field("aborted_exchanges", aborted_exchanges);
+      v.Derived("exchanged_4k", [this] { return exchanged_4k(); });
+    }
+    v.Derived("promoted_4k", [this] { return promoted_4k(); });
+    v.Derived("demoted_4k", [this] { return demoted_4k(); });
+  }
 };
 
 // Per-tenant promotion-bandwidth token bucket, arbitrating the machine's

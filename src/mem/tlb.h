@@ -35,6 +35,18 @@ struct TlbStats {
     const uint64_t total = hits() + misses();
     return total == 0 ? 0.0 : static_cast<double>(misses()) / static_cast<double>(total);
   }
+
+  // JSON field list (src/common/json_fields.h).
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("base_hits", base_hits);
+    v.Field("base_misses", base_misses);
+    v.Field("huge_hits", huge_hits);
+    v.Field("huge_misses", huge_misses);
+    v.Field("shootdowns", shootdowns);
+    v.Field("invalidated_entries", invalidated_entries);
+    v.Derived("miss_ratio", [this] { return miss_ratio(); });
+  }
 };
 
 class Tlb {

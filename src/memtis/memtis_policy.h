@@ -70,6 +70,20 @@ class MemtisPolicy : public TieringPolicy {
     uint64_t collapses_performed = 0;
     double last_ehr = 0.0;  // estimated base-page-only hit ratio
     double last_rhr = 0.0;  // measured fast-tier sample hit ratio
+
+    // JSON field list (src/common/json_fields.h).
+    template <class V>
+    void VisitFields(V& v) {
+      v.Field("coolings", coolings);
+      v.Field("threshold_adaptations", threshold_adaptations);
+      v.Field("benefit_estimations", benefit_estimations);
+      v.Field("split_rounds_triggered", split_rounds_triggered);
+      v.Field("splits_performed", splits_performed);
+      v.Field("split_subpages_to_fast", split_subpages_to_fast);
+      v.Field("collapses_performed", collapses_performed);
+      v.Field("last_ehr", last_ehr);
+      v.Field("last_rhr", last_rhr);
+    }
   };
   const Stats& stats() const { return stats_; }
   const PebsSampler& sampler() const { return sampler_; }

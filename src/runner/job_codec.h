@@ -1,12 +1,15 @@
 // Lossless wire codec for the resilience plane: JobResult/JobFailure to and
 // from JSON, canonical cell fingerprints, and reproducer command lines.
 //
-// One codec serves both transports — the supervisor's child-to-parent result
-// pipe and the --resume checkpoint manifest — so a cell reloaded from a
-// manifest is bit-for-bit the cell that ran: integers round-trip through
-// strtoull and doubles through the writer's "%.17g" formatting, which is why
-// a resumed sweep serializes byte-identically to an uninterrupted one
-// (tests/runner_test.cc, scripts/smoke_resume.sh).
+// One codec serves every transport — the supervisor's child-to-parent result
+// pipe, the --resume checkpoint manifest and the socket wire — so a cell
+// reloaded from a manifest is bit-for-bit the cell that ran: integers
+// round-trip through strtoull and doubles through the writer's "%.17g"
+// formatting, which is why a resumed sweep serializes byte-identically to an
+// uninterrupted one (tests/runner_test.cc, scripts/smoke_resume.sh). The
+// Write*/Read* functions below are entry points over the records' one field
+// lists (VisitFields, src/common/json_fields.h); reads fail on any field of
+// the wrong JSON kind.
 
 #ifndef MEMTIS_SIM_SRC_RUNNER_JOB_CODEC_H_
 #define MEMTIS_SIM_SRC_RUNNER_JOB_CODEC_H_
@@ -44,7 +47,8 @@ void WriteJobFailureJson(JsonWriter& w, const JobFailure& failure);
 bool ReadJobFailureJson(const JsonValue& v, JobFailure* out);
 
 // Full-fidelity JobSpec record for shipping cells to remote workers
-// (src/runner/work_queue.h). Environment scale knobs are written resolved —
+// (src/runner/work_queue.h); the read also requires a non-empty system and
+// benchmark. Environment scale knobs are written resolved —
 // accesses and footprint_scale at their effective values — so a worker
 // running under a different MEMTIS_BENCH_* environment still reconstructs a
 // spec whose fingerprint matches the coordinator's. The opaque memtis_tweak

@@ -6,8 +6,7 @@
 
 #include <sys/stat.h>
 
-#include "src/common/json.h"
-#include "src/common/json_parse.h"
+#include "src/common/json_fields.h"
 #include "src/runner/job_codec.h"
 
 namespace memtis {
@@ -52,17 +51,7 @@ bool LoadManifest(const std::string& path,
       continue;
     }
     ManifestEntry entry;
-    entry.ok = doc.GetBool("ok");
-    entry.attempts = static_cast<int>(doc.GetInt("attempts"));
-    bool valid = false;
-    if (entry.ok) {
-      const JsonValue* result = doc.Find("result");
-      valid = result != nullptr && ReadJobResultJson(*result, &entry.result);
-    } else {
-      const JsonValue* failure = doc.Find("failure");
-      valid = failure != nullptr && ReadJobFailureJson(*failure, &entry.failure);
-    }
-    if (!valid) {
+    if (!DecodeJson(doc, &entry)) {
       ++local.lines_skipped;
       continue;
     }
@@ -116,15 +105,7 @@ void ManifestWriter::Append(const std::string& fingerprint, const JobSpec& spec,
   w.Field("seed_index", spec.seed_index);
   w.Field("engine_seed", spec.engine_seed);
   w.EndObject();
-  w.Field("ok", outcome.ok);
-  w.Field("attempts", outcome.attempts);
-  if (outcome.ok) {
-    w.Key("result");
-    WriteJobResultJson(w, outcome.result);
-  } else {
-    w.Key("failure");
-    WriteJobFailureJson(w, outcome.failure);
-  }
+  EncodeJsonFields(w, outcome);
   w.EndObject();
   line += '\n';
 

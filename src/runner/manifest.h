@@ -4,9 +4,10 @@
 // Each line is one self-contained JSON object — {"v":1,"fingerprint":...,
 // "cell":...,"spec":{...},"ok":...,"attempts":...,"result"|"failure":{...}} —
 // flushed as soon as the cell finishes, so a manifest is valid after a crash
-// or SIGKILL at any byte: the loader skips unparseable lines (most commonly a
-// truncated final line) and keeps going. Duplicate fingerprints are
-// last-wins, which makes re-running with the same --resume path idempotent.
+// or SIGKILL at any byte: the loader skips lines that do not parse or do not
+// decode (most commonly a truncated final line) and keeps going. Duplicate
+// fingerprints are last-wins, which makes re-running with the same --resume
+// path idempotent.
 //
 // On resume only ok entries are trusted; failed entries are recorded for the
 // report but their cells re-run. Results round-trip through the lossless
@@ -26,16 +27,13 @@
 
 namespace memtis {
 
-struct ManifestEntry {
-  bool ok = false;
-  int attempts = 0;
-  JobResult result;    // valid when ok
-  JobFailure failure;  // valid when !ok
-};
+// One completed cell: the line's {ok, attempts, result|failure} fields,
+// decoded through SupervisedOutcome's field list.
+using ManifestEntry = SupervisedOutcome;
 
 struct ManifestLoadStats {
   size_t lines_total = 0;
-  size_t lines_skipped = 0;  // unparseable (e.g. truncated tail) — tolerated
+  size_t lines_skipped = 0;  // unparseable or mistyped (e.g. truncated tail)
   size_t entries = 0;        // distinct fingerprints after last-wins dedup
 };
 

@@ -67,6 +67,22 @@ struct JobFailure {
   std::string stderr_tail;    // last bytes of the child's stderr
   std::string reproducer_cmdline;  // memtis_run invocation reproducing it
   std::string message;        // one-line human summary
+
+  // JSON field list (src/common/json_fields.h). An unknown kind name reads
+  // back as kCrash.
+  template <class V>
+  void VisitFields(V& v) {
+    v.Mapped("kind", [this] { return FailureKindName(kind); },
+             [this](const std::string& name) {
+               kind = FailureKindFromName(name).value_or(FailureKind::kCrash);
+             });
+    v.Field("exit_status", exit_status);
+    v.Field("signal", signal);
+    v.Field("check_expr", check_expr);
+    v.Field("stderr_tail", stderr_tail);
+    v.Field("reproducer_cmdline", reproducer_cmdline);
+    v.Field("message", message);
+  }
 };
 
 struct SupervisorOptions {
@@ -96,6 +112,19 @@ struct SupervisedOutcome {
   int attempts = 0;    // global attempt number + 1
   JobResult result;    // valid when ok
   JobFailure failure;  // kind != kNone when !ok
+
+  // JSON field list (src/common/json_fields.h), shared by the --resume
+  // manifest line and the socket wire's result frame.
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("ok", ok);
+    v.Field("attempts", attempts);
+    if (ok) {
+      v.RequiredRecord("result", result);
+    } else {
+      v.RequiredRecord("failure", failure);
+    }
+  }
 };
 
 // The fate of one cell in a sweep.

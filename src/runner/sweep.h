@@ -103,6 +103,41 @@ struct JobSpec {
     return DeriveSeedOffset(base_seed, seed_index);
   }
   const char* machine_name() const { return cxl ? "cxl" : "nvm"; }
+  // The environment-dependent defaults at their effective values.
+  uint64_t resolved_accesses() const {
+    return accesses != 0 ? accesses : DefaultAccesses();
+  }
+  double resolved_footprint_scale() const {
+    return footprint_scale > 0.0 ? footprint_scale : BenchFootprintScale();
+  }
+
+  // JSON field list (src/common/json_fields.h) for shipping cells to remote
+  // workers; see WriteJobSpecJson in src/runner/job_codec.h. Scale knobs go
+  // out resolved, and memtis_tweak cannot cross a process boundary.
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("system", system);
+    v.Field("benchmark", benchmark);
+    v.Field("fast_ratio", fast_ratio);
+    v.Mapped("accesses", [this] { return resolved_accesses(); },
+             [this](uint64_t n) { accesses = n; });
+    v.Field("cxl", cxl);
+    v.Field("cpu_contention", cpu_contention);
+    v.Field("snapshot_interval_ns", snapshot_interval_ns);
+    v.Field("fast_bytes_override", fast_bytes_override);
+    v.Mapped("footprint_scale", [this] { return resolved_footprint_scale(); },
+             [this](double scale) { footprint_scale = scale; });
+    v.Field("base_seed", base_seed);
+    v.Field("seed_index", seed_index);
+    v.Field("engine_seed", engine_seed);
+    v.Field("audit", audit);
+    v.Field("audit_epoch_interval_ns", audit_epoch_interval_ns);
+    v.Mapped("shards", [this] { return uint64_t{shards}; },
+             [this](uint64_t n) {
+               shards = n == 0 ? 1 : static_cast<uint32_t>(n);
+             });
+    v.Field("faults", faults);
+  }
 };
 
 // Everything a sink or figure needs from one finished job.
@@ -125,6 +160,34 @@ struct JobResult {
   uint64_t epoch_interval_ns = 0;
   uint64_t epochs_recorded_total = 0;
   std::vector<EpochSample> epochs;
+
+  // JSON field list (src/common/json_fields.h) of the full-fidelity record
+  // the supervisor pipe, the manifest and the socket wire carry.
+  template <class V>
+  void VisitFields(V& v) {
+    v.Derived("v", [] { return uint64_t{1}; });
+    v.Field("footprint_bytes", footprint_bytes);
+    v.Field("fast_bytes", fast_bytes);
+    v.RequiredRecord("metrics", metrics);
+    v.Field("is_memtis", is_memtis);
+    if (is_memtis) {
+      v.Record("memtis_stats", memtis_stats);
+      v.Field("mean_ehr", mean_ehr);
+      v.Field("sampler_cpu", sampler_cpu);
+      v.Field("pebs_load_period", pebs_load_period);
+      v.Field("pebs_store_period", pebs_store_period);
+    }
+    if (v.WriteIf(hemem_overalloc_bytes != 0)) {
+      v.Field("hemem_overalloc_bytes", hemem_overalloc_bytes);
+    }
+    v.Field("audited", audited);
+    if (audited) {
+      v.Record("audit_report", audit_report);
+      v.Field("epoch_interval_ns", epoch_interval_ns);
+      v.Field("epochs_recorded_total", epochs_recorded_total);
+      v.Array("epochs", epochs);
+    }
+  }
 };
 
 // Runs one cell to completion. Thread-safe: builds its own workload, policy,

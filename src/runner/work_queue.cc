@@ -4,83 +4,13 @@
 
 #include <utility>
 
-#include "src/common/json.h"
-#include "src/common/json_parse.h"
-#include "src/runner/job_codec.h"
+#include "src/common/json_fields.h"
 
 namespace memtis {
 namespace {
 
 constexpr int kClaimRetrySleepMs = 60;
 constexpr int kSocketReplyTimeoutMs = 30'000;
-
-void WriteOutcomeFields(JsonWriter& w, const SupervisedOutcome& outcome) {
-  w.Field("ok", outcome.ok);
-  w.Field("attempts", outcome.attempts);
-  if (outcome.ok) {
-    w.Key("result");
-    WriteJobResultJson(w, outcome.result);
-  } else {
-    w.Key("failure");
-    WriteJobFailureJson(w, outcome.failure);
-  }
-}
-
-bool ReadOutcomeFields(const JsonValue& doc, SupervisedOutcome* out,
-                       std::string* error) {
-  out->ok = doc.GetBool("ok");
-  out->attempts = static_cast<int>(doc.GetInt("attempts"));
-  if (out->attempts < 1) {
-    *error = "result frame without a positive attempts count";
-    return false;
-  }
-  if (out->ok) {
-    const JsonValue* result = doc.Find("result");
-    if (result == nullptr || !ReadJobResultJson(*result, &out->result)) {
-      *error = "ok result frame without a parseable result";
-      return false;
-    }
-  } else {
-    const JsonValue* failure = doc.Find("failure");
-    if (failure == nullptr || !ReadJobFailureJson(*failure, &out->failure)) {
-      *error = "failed result frame without a parseable failure";
-      return false;
-    }
-  }
-  return true;
-}
-
-// The {"index","attempt","issue","job_timeout_ms","checkpoint_ns",
-// "fingerprint","spec"} fields of a cell reply. ReadWorkItemFields is
-// tolerant of garbage (false, never aborts) and of a missing checkpoint_ns
-// (older coordinators; reads as 0).
-void WriteWorkItemFields(JsonWriter& w, const WorkItem& item) {
-  w.Field("index", static_cast<uint64_t>(item.index));
-  w.Field("attempt", item.attempt);
-  w.Field("issue", item.issue);
-  w.Field("job_timeout_ms", item.job_timeout_ms);
-  if (item.checkpoint_ns != 0) {
-    w.Field("checkpoint_ns", item.checkpoint_ns);
-  }
-  w.Field("fingerprint", item.fingerprint);
-  w.Key("spec");
-  WriteJobSpecJson(w, item.spec);
-}
-
-bool ReadWorkItemFields(const JsonValue& doc, WorkItem* out) {
-  if (!doc.is_object() || doc.Find("index") == nullptr) {
-    return false;
-  }
-  out->index = static_cast<size_t>(doc.GetUint("index"));
-  out->attempt = static_cast<int>(doc.GetInt("attempt"));
-  out->issue = doc.GetUint("issue");
-  out->job_timeout_ms = doc.GetUint("job_timeout_ms");
-  out->checkpoint_ns = doc.GetUint("checkpoint_ns");  // absent -> 0
-  out->fingerprint = doc.GetString("fingerprint");
-  const JsonValue* spec = doc.Find("spec");
-  return spec != nullptr && ReadJobSpecJson(*spec, &out->spec) &&
-         !out->fingerprint.empty();
-}
 
 }  // namespace
 
@@ -118,7 +48,15 @@ bool ParseWorkerRequest(const std::string& frame, WorkerRequest* out,
     }
     out->kind = WorkerRequest::Kind::kResult;
     out->worker = doc.GetString("worker");
-    return ReadOutcomeFields(doc, &out->outcome, err);
+    if (!DecodeJson(doc, &out->outcome)) {
+      *err = "result frame with an unparseable outcome";
+      return false;
+    }
+    if (out->outcome.attempts < 1) {
+      *err = "result frame without a positive attempts count";
+      return false;
+    }
+    return true;
   }
   *err = "unknown request type '" + type + "'";
   return false;
@@ -156,7 +94,7 @@ std::string EncodeResultRequest(const std::string& worker, const WorkItem& item,
   w.Field("index", static_cast<uint64_t>(item.index));
   w.Field("attempt", item.attempt);
   w.Field("issue", item.issue);
-  WriteOutcomeFields(w, outcome);
+  EncodeJsonFields(w, outcome);
   w.EndObject();
   return out;
 }
@@ -177,7 +115,10 @@ bool ParseCoordinatorReply(const std::string& frame, CoordinatorReply* out,
   *out = CoordinatorReply();
   if (type == "cell") {
     out->kind = CoordinatorReply::Kind::kCell;
-    if (!ReadWorkItemFields(doc, &out->item)) {
+    const WorkItem& item = out->item;
+    if (doc.Find("index") == nullptr || !DecodeJson(doc, &out->item) ||
+        item.fingerprint.empty() || item.spec.system.empty() ||
+        item.spec.benchmark.empty()) {
       *err = "cell reply with an unusable work item";
       return false;
     }
@@ -213,7 +154,7 @@ std::string EncodeCellReply(const WorkItem& item) {
   JsonWriter w(&out, 0);
   w.BeginObject();
   w.Field("type", "cell");
-  WriteWorkItemFields(w, item);
+  EncodeJsonFields(w, item);
   w.EndObject();
   return out;
 }

@@ -54,6 +54,20 @@ struct WorkItem {
   uint64_t checkpoint_ns = 0;
   std::string fingerprint;
   JobSpec spec;
+
+  // JSON field list (src/common/json_fields.h) of a cell reply.
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("index", index);
+    v.Field("attempt", attempt);
+    v.Field("issue", issue);
+    v.Field("job_timeout_ms", job_timeout_ms);
+    if (v.WriteIf(checkpoint_ns != 0)) {
+      v.Field("checkpoint_ns", checkpoint_ns);
+    }
+    v.Field("fingerprint", fingerprint);
+    v.RequiredRecord("spec", spec);
+  }
 };
 
 // ---------------------------------------------------------------------------

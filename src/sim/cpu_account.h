@@ -41,6 +41,15 @@ class CpuAccount {
                                  static_cast<double>(elapsed_ns);
   }
 
+  // JSON field list (src/common/json_fields.h).
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("sampler_ns", busy_[static_cast<int>(DaemonKind::kSampler)]);
+    v.Field("migrator_ns", busy_[static_cast<int>(DaemonKind::kMigrator)]);
+    v.Field("scanner_ns", busy_[static_cast<int>(DaemonKind::kScanner)]);
+    v.Derived("total_busy_ns", [this] { return total_busy(); });
+  }
+
   template <typename Writer>
   void SaveState(Writer& w) const {
     for (uint64_t b : busy_) w.U64(b);

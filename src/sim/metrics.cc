@@ -1,20 +1,8 @@
 #include "src/sim/metrics.h"
 
-#include "src/common/json.h"
-#include "src/common/json_parse.h"
+#include "src/common/json_fields.h"
 
 namespace memtis {
-namespace {
-
-void WriteClassified(JsonWriter& w, const ClassifiedSizes& c) {
-  w.BeginObject();
-  w.Field("hot_bytes", c.hot_bytes);
-  w.Field("warm_bytes", c.warm_bytes);
-  w.Field("cold_bytes", c.cold_bytes);
-  w.EndObject();
-}
-
-}  // namespace
 
 std::string Metrics::ToJson(int indent) const {
   std::string out;
@@ -24,223 +12,11 @@ std::string Metrics::ToJson(int indent) const {
 }
 
 void Metrics::WriteJson(JsonWriter& w, bool include_timeline) const {
-  w.BeginObject();
-
-  w.Field("accesses", accesses);
-  w.Field("loads", loads);
-  w.Field("stores", stores);
-  w.Field("fast_accesses", fast_accesses);
-  w.Field("capacity_accesses", capacity_accesses);
-  w.Field("app_ns", app_ns);
-  w.Field("critical_path_ns", critical_path_ns);
-  w.Field("cores", cores);
-  w.Field("cpu_contention", cpu_contention);
-
-  w.Key("cpu");
-  w.BeginObject();
-  w.Field("sampler_ns", cpu.busy(DaemonKind::kSampler));
-  w.Field("migrator_ns", cpu.busy(DaemonKind::kMigrator));
-  w.Field("scanner_ns", cpu.busy(DaemonKind::kScanner));
-  w.Field("total_busy_ns", cpu.total_busy());
-  w.EndObject();
-
-  w.Key("tlb");
-  w.BeginObject();
-  w.Field("base_hits", tlb.base_hits);
-  w.Field("base_misses", tlb.base_misses);
-  w.Field("huge_hits", tlb.huge_hits);
-  w.Field("huge_misses", tlb.huge_misses);
-  w.Field("shootdowns", tlb.shootdowns);
-  w.Field("invalidated_entries", tlb.invalidated_entries);
-  w.Field("miss_ratio", tlb.miss_ratio());
-  w.EndObject();
-
-  w.Key("migration");
-  w.BeginObject();
-  w.Field("promoted_base", migration.promoted_base);
-  w.Field("promoted_huge", migration.promoted_huge);
-  w.Field("demoted_base", migration.demoted_base);
-  w.Field("demoted_huge", migration.demoted_huge);
-  w.Field("failed_migrations", migration.failed_migrations);
-  w.Field("aborted_migrations", migration.aborted_migrations);
-  w.Field("splits", migration.splits);
-  w.Field("collapses", migration.collapses);
-  w.Field("freed_zero_subpages", migration.freed_zero_subpages);
-  w.Field("demand_faults", migration.demand_faults);
-  // Exchange counters postdate the schema-stable goldens: omitted while all
-  // zero so documents from exchange-free runs are byte-identical.
-  if (migration.exchanges != 0 || migration.failed_exchanges != 0 ||
-      migration.aborted_exchanges != 0) {
-    w.Field("exchanges", migration.exchanges);
-    w.Field("exchanged_huge", migration.exchanged_huge);
-    w.Field("failed_exchanges", migration.failed_exchanges);
-    w.Field("aborted_exchanges", migration.aborted_exchanges);
-    w.Field("exchanged_4k", migration.exchanged_4k());
-  }
-  w.Field("promoted_4k", migration.promoted_4k());
-  w.Field("demoted_4k", migration.demoted_4k());
-  w.EndObject();
-
-  w.Key("faults");
-  faults.WriteJson(w);
-
-  w.Field("final_rss_pages", final_rss_pages);
-  w.Field("peak_rss_pages", peak_rss_pages);
-  w.Field("final_fast_used_pages", final_fast_used_pages);
-  w.Field("final_huge_ratio", final_huge_ratio);
-
-  // Derived quantities, so sinks never re-implement the formulas.
-  w.Field("fast_hit_ratio", fast_hit_ratio());
-  w.Field("effective_runtime_ns", EffectiveRuntimeNs());
-  w.Field("mops", Mops());
-
-  // Omitted when empty so legacy single-workload documents are unchanged.
-  if (!per_tenant.empty()) {
-    w.Key("per_tenant");
-    w.BeginArray();
-    for (const TenantMetrics& t : per_tenant) {
-      w.BeginObject();
-      w.Field("name", t.name);
-      w.Field("workload", t.workload);
-      w.Field("accesses", t.accesses);
-      w.Field("fast_accesses", t.fast_accesses);
-      w.Field("capacity_accesses", t.capacity_accesses);
-      w.Field("active_ns", t.active_ns);
-      w.Field("arrive_ns", t.arrive_ns);
-      w.Field("depart_ns", t.depart_ns);
-      w.Field("finished", t.finished);
-      w.Field("quota_frames", t.quota_frames);
-      w.Field("fast_pages", t.fast_pages);
-      w.Field("quota_denied_allocs", t.quota_denied_allocs);
-      w.Field("quota_denied_promotions", t.quota_denied_promotions);
-      w.Field("quota_steals", t.quota_steals);
-      w.Field("budget_denied_promotions", t.budget_denied_promotions);
-      w.Field("fast_hit_ratio", t.fast_hit_ratio());
-      w.Field("ns_per_access", t.ns_per_access());
-      w.EndObject();
-    }
-    w.EndArray();
-  }
-
-  if (include_timeline) {
-    w.Key("timeline");
-    w.BeginArray();
-    for (const TimelinePoint& p : timeline) {
-      w.BeginObject();
-      w.Field("t_ns", p.t_ns);
-      w.Key("classified");
-      WriteClassified(w, p.classified);
-      w.Field("fast_used_pages", p.fast_used_pages);
-      w.Field("rss_pages", p.rss_pages);
-      w.Field("window_fast_ratio", p.window_fast_ratio);
-      w.Field("window_mops", p.window_mops);
-      w.EndObject();
-    }
-    w.EndArray();
-  }
-
-  w.EndObject();
+  EncodeJson(w, *this, include_timeline ? "" : "timeline");
 }
 
 bool Metrics::FromJson(const JsonValue& v, Metrics* out) {
-  if (!v.is_object()) {
-    return false;
-  }
-  *out = Metrics();
-  out->accesses = v.GetUint("accesses");
-  out->loads = v.GetUint("loads");
-  out->stores = v.GetUint("stores");
-  out->fast_accesses = v.GetUint("fast_accesses");
-  out->capacity_accesses = v.GetUint("capacity_accesses");
-  out->app_ns = v.GetUint("app_ns");
-  out->critical_path_ns = v.GetUint("critical_path_ns");
-  out->cores = static_cast<uint32_t>(v.GetUint("cores", out->cores));
-  out->cpu_contention = v.GetBool("cpu_contention", out->cpu_contention);
-
-  if (const JsonValue* cpu = v.Find("cpu"); cpu != nullptr) {
-    out->cpu.Charge(DaemonKind::kSampler, cpu->GetUint("sampler_ns"));
-    out->cpu.Charge(DaemonKind::kMigrator, cpu->GetUint("migrator_ns"));
-    out->cpu.Charge(DaemonKind::kScanner, cpu->GetUint("scanner_ns"));
-  }
-
-  if (const JsonValue* tlb = v.Find("tlb"); tlb != nullptr) {
-    out->tlb.base_hits = tlb->GetUint("base_hits");
-    out->tlb.base_misses = tlb->GetUint("base_misses");
-    out->tlb.huge_hits = tlb->GetUint("huge_hits");
-    out->tlb.huge_misses = tlb->GetUint("huge_misses");
-    out->tlb.shootdowns = tlb->GetUint("shootdowns");
-    out->tlb.invalidated_entries = tlb->GetUint("invalidated_entries");
-  }
-
-  if (const JsonValue* mig = v.Find("migration"); mig != nullptr) {
-    out->migration.promoted_base = mig->GetUint("promoted_base");
-    out->migration.promoted_huge = mig->GetUint("promoted_huge");
-    out->migration.demoted_base = mig->GetUint("demoted_base");
-    out->migration.demoted_huge = mig->GetUint("demoted_huge");
-    out->migration.failed_migrations = mig->GetUint("failed_migrations");
-    out->migration.aborted_migrations = mig->GetUint("aborted_migrations");
-    out->migration.splits = mig->GetUint("splits");
-    out->migration.collapses = mig->GetUint("collapses");
-    out->migration.freed_zero_subpages = mig->GetUint("freed_zero_subpages");
-    out->migration.demand_faults = mig->GetUint("demand_faults");
-    out->migration.exchanges = mig->GetUint("exchanges");
-    out->migration.exchanged_huge = mig->GetUint("exchanged_huge");
-    out->migration.failed_exchanges = mig->GetUint("failed_exchanges");
-    out->migration.aborted_exchanges = mig->GetUint("aborted_exchanges");
-  }
-
-  if (const JsonValue* faults = v.Find("faults"); faults != nullptr) {
-    FaultStats::FromJson(*faults, &out->faults);
-  }
-
-  if (const JsonValue* tenants = v.Find("per_tenant"); tenants != nullptr) {
-    out->per_tenant.reserve(tenants->size());
-    for (size_t i = 0; i < tenants->size(); ++i) {
-      const JsonValue& tj = tenants->at(i);
-      TenantMetrics t;
-      t.name = tj.GetString("name");
-      t.workload = tj.GetString("workload");
-      t.accesses = tj.GetUint("accesses");
-      t.fast_accesses = tj.GetUint("fast_accesses");
-      t.capacity_accesses = tj.GetUint("capacity_accesses");
-      t.active_ns = tj.GetUint("active_ns");
-      t.arrive_ns = tj.GetUint("arrive_ns");
-      t.depart_ns = tj.GetUint("depart_ns");
-      t.finished = tj.GetBool("finished");
-      t.quota_frames = tj.GetUint("quota_frames");
-      t.fast_pages = tj.GetUint("fast_pages");
-      t.quota_denied_allocs = tj.GetUint("quota_denied_allocs");
-      t.quota_denied_promotions = tj.GetUint("quota_denied_promotions");
-      t.quota_steals = tj.GetUint("quota_steals");
-      t.budget_denied_promotions = tj.GetUint("budget_denied_promotions");
-      out->per_tenant.push_back(std::move(t));
-    }
-  }
-
-  out->final_rss_pages = v.GetUint("final_rss_pages");
-  out->peak_rss_pages = v.GetUint("peak_rss_pages");
-  out->final_fast_used_pages = v.GetUint("final_fast_used_pages");
-  out->final_huge_ratio = v.GetDouble("final_huge_ratio");
-
-  if (const JsonValue* timeline = v.Find("timeline"); timeline != nullptr) {
-    out->timeline.reserve(timeline->size());
-    for (size_t i = 0; i < timeline->size(); ++i) {
-      const JsonValue& p = timeline->at(i);
-      TimelinePoint point;
-      point.t_ns = p.GetUint("t_ns");
-      if (const JsonValue* c = p.Find("classified"); c != nullptr) {
-        point.classified.hot_bytes = c->GetUint("hot_bytes");
-        point.classified.warm_bytes = c->GetUint("warm_bytes");
-        point.classified.cold_bytes = c->GetUint("cold_bytes");
-      }
-      point.fast_used_pages = p.GetUint("fast_used_pages");
-      point.rss_pages = p.GetUint("rss_pages");
-      point.window_fast_ratio = p.GetDouble("window_fast_ratio");
-      point.window_mops = p.GetDouble("window_mops");
-      out->timeline.push_back(point);
-    }
-  }
-  return true;
+  return DecodeJson(v, out);
 }
 
 }  // namespace memtis

@@ -22,6 +22,13 @@ struct ClassifiedSizes {
   uint64_t hot_bytes = 0;
   uint64_t warm_bytes = 0;
   uint64_t cold_bytes = 0;
+
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("hot_bytes", hot_bytes);
+    v.Field("warm_bytes", warm_bytes);
+    v.Field("cold_bytes", cold_bytes);
+  }
 };
 
 // Periodic snapshot for time-series figures.
@@ -32,6 +39,16 @@ struct TimelinePoint {
   uint64_t rss_pages = 0;
   double window_fast_ratio = 0.0;  // fast-tier access ratio in the window
   double window_mops = 0.0;        // throughput (million accesses / virtual s)
+
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("t_ns", t_ns);
+    v.Record("classified", classified);
+    v.Field("fast_used_pages", fast_used_pages);
+    v.Field("rss_pages", rss_pages);
+    v.Field("window_fast_ratio", window_fast_ratio);
+    v.Field("window_mops", window_mops);
+  }
 };
 
 // Per-tenant slice of a co-located run, attributed by the tenant plane
@@ -66,6 +83,27 @@ struct TenantMetrics {
   double ns_per_access() const {
     return accesses == 0 ? 0.0
                          : static_cast<double>(active_ns) / static_cast<double>(accesses);
+  }
+
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("name", name);
+    v.Field("workload", workload);
+    v.Field("accesses", accesses);
+    v.Field("fast_accesses", fast_accesses);
+    v.Field("capacity_accesses", capacity_accesses);
+    v.Field("active_ns", active_ns);
+    v.Field("arrive_ns", arrive_ns);
+    v.Field("depart_ns", depart_ns);
+    v.Field("finished", finished);
+    v.Field("quota_frames", quota_frames);
+    v.Field("fast_pages", fast_pages);
+    v.Field("quota_denied_allocs", quota_denied_allocs);
+    v.Field("quota_denied_promotions", quota_denied_promotions);
+    v.Field("quota_steals", quota_steals);
+    v.Field("budget_denied_promotions", budget_denied_promotions);
+    v.Derived("fast_hit_ratio", [this] { return fast_hit_ratio(); });
+    v.Derived("ns_per_access", [this] { return ns_per_access(); });
   }
 };
 
@@ -126,10 +164,43 @@ struct Metrics {
     return t == 0.0 ? 0.0 : static_cast<double>(accesses) * 1e3 / t;
   }
 
-  // Serializes every field (counters, cpu/tlb/migration breakdowns, derived
-  // ratios, the full timeline) as a JSON object with stable field ordering —
-  // the wire format of the runner's result sinks (see src/runner/result_sink.h
-  // and the README's "Running sweeps" schema). `indent` as in JsonWriter.
+  // The one JSON field list (src/common/json_fields.h): counters, the
+  // cpu/tlb/migration/faults breakdowns, derived ratios, per-tenant slices
+  // and the timeline, in the stable order of the result sinks' schema (see
+  // src/runner/result_sink.h and the README's "Running sweeps" schema). A
+  // new field is added here and nowhere else; the writer and the reader
+  // below both walk this list.
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("accesses", accesses);
+    v.Field("loads", loads);
+    v.Field("stores", stores);
+    v.Field("fast_accesses", fast_accesses);
+    v.Field("capacity_accesses", capacity_accesses);
+    v.Field("app_ns", app_ns);
+    v.Field("critical_path_ns", critical_path_ns);
+    v.Field("cores", cores);
+    v.Field("cpu_contention", cpu_contention);
+    v.Record("cpu", cpu);
+    v.Record("tlb", tlb);
+    v.Record("migration", migration);
+    v.Record("faults", faults);
+    v.Field("final_rss_pages", final_rss_pages);
+    v.Field("peak_rss_pages", peak_rss_pages);
+    v.Field("final_fast_used_pages", final_fast_used_pages);
+    v.Field("final_huge_ratio", final_huge_ratio);
+    // Derived quantities, so sinks never re-implement the formulas.
+    v.Derived("fast_hit_ratio", [this] { return fast_hit_ratio(); });
+    v.Derived("effective_runtime_ns", [this] { return EffectiveRuntimeNs(); });
+    v.Derived("mops", [this] { return Mops(); });
+    // Omitted when empty so legacy single-workload documents are unchanged.
+    if (v.WriteIf(!per_tenant.empty())) {
+      v.Array("per_tenant", per_tenant);
+    }
+    v.Array("timeline", timeline);
+  }
+
+  // The field list as a JSON object. `indent` as in JsonWriter.
   std::string ToJson(int indent = 0) const;
 
   // Same object written into an in-progress document (used by the sinks to
@@ -137,12 +208,11 @@ struct Metrics {
   // timeline array for compact sweep files.
   void WriteJson(JsonWriter& w, bool include_timeline = true) const;
 
-  // Lossless inverse of WriteJson, used by the supervisor pipe protocol and
-  // the --resume manifest (src/runner/job_codec.*): every raw counter and the
-  // timeline are reconstructed bit-for-bit (integers re-parsed as uint64,
-  // doubles via the round-trippable "%.17g" format). Derived fields
-  // (fast_hit_ratio, effective_runtime_ns, mops) are recomputed, never read.
-  // Returns false when `v` is not a JSON object.
+  // Decodes the field list, used by the supervisor pipe, the --resume
+  // manifest and snapshots: every raw counter and the timeline come back
+  // bit-for-bit (integers re-parsed as uint64, doubles via the
+  // round-trippable "%.17g" format); derived fields are recomputed, never
+  // read. False when `v` is not an object or a field has the wrong kind.
   static bool FromJson(const JsonValue& v, Metrics* out);
 };
 

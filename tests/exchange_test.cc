@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/audit/audit.h"
-#include "src/common/json_parse.h"
 #include "src/fault/fault.h"
 #include "src/mem/memory_system.h"
 #include "src/mem/tlb.h"
@@ -326,9 +325,10 @@ TEST(ExchangeEngine, SweepByteIdenticalAcrossThreadsAndAuditClean) {
   EXPECT_NE(json1.find("\"exchanges\":"), std::string::npos);
 }
 
-// The counters round-trip the Metrics codec losslessly, and exchange-free
-// documents omit them (schema compatibility with the committed goldens).
-TEST(ExchangeMetrics, JsonOmittedWhenZeroAndLossless) {
+// Exchange-free documents omit the counters (schema compatibility with the
+// committed goldens); any exchange activity writes them. Their round trip is
+// in fuzz_test's Codec cases.
+TEST(ExchangeMetrics, JsonOmittedWhenZero) {
   Metrics metrics;
   EXPECT_EQ(metrics.ToJson(0).find("\"exchanges\""), std::string::npos);
 
@@ -336,19 +336,7 @@ TEST(ExchangeMetrics, JsonOmittedWhenZeroAndLossless) {
   metrics.migration.exchanged_huge = 3;
   metrics.migration.failed_exchanges = 5;
   metrics.migration.aborted_exchanges = 2;
-  const std::string json = metrics.ToJson(0);
-  EXPECT_NE(json.find("\"exchanges\":41"), std::string::npos);
-
-  JsonValue parsed;
-  std::string error;
-  ASSERT_TRUE(JsonValue::Parse(json, &parsed, &error)) << error;
-  Metrics round;
-  ASSERT_TRUE(Metrics::FromJson(parsed, &round));
-  EXPECT_EQ(round.migration.exchanges, 41u);
-  EXPECT_EQ(round.migration.exchanged_huge, 3u);
-  EXPECT_EQ(round.migration.failed_exchanges, 5u);
-  EXPECT_EQ(round.migration.aborted_exchanges, 2u);
-  EXPECT_EQ(round.ToJson(0), json);
+  EXPECT_NE(metrics.ToJson(0).find("\"exchanges\":41"), std::string::npos);
 }
 
 }  // namespace

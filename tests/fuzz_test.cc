@@ -6,17 +6,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "src/audit/audit.h"
-#include "src/common/json.h"
-#include "src/common/json_parse.h"
+#include "src/common/json_fields.h"
 #include "src/common/netio.h"
 #include "src/runner/coordinator.h"
 #include "src/runner/work_queue.h"
@@ -688,6 +689,304 @@ TEST(Fuzz, JobSpecJsonRoundTripPreservesFingerprint) {
       ReadJobSpecJson(doc, &back);  // false or harmless true; never aborts
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The JSON field-list codec (src/common/json_fields.h): every record that
+// crosses a transport round-trips byte-identically, and the decoder refuses
+// mistyped fields instead of silently defaulting them.
+
+// A third visitor over the same field lists: gives every field a distinct
+// non-default value and enters every conditional block (flags come out true,
+// WriteIf holds), so a field added to any VisitFields is covered here
+// without touching this file.
+class FieldFiller {
+ public:
+  template <class T>
+  void Field(std::string_view, T& value) { value = Next<T>(); }
+  template <class Getter>
+  void Derived(std::string_view, Getter&&) {}
+  template <class Getter, class Setter>
+  void Mapped(std::string_view, Getter&& get, Setter&& set) {
+    using Raw = std::decay_t<decltype(get())>;
+    if constexpr (std::is_convertible_v<Raw, std::string_view>) {
+      set(std::string(get()) + "-x");  // an unknown name decodes as a fallback
+    } else {
+      set(Next<Raw>());
+    }
+  }
+  template <class R>
+  void Record(std::string_view, R& record) { record.VisitFields(*this); }
+  template <class R>
+  void RequiredRecord(std::string_view key, R& record) { Record(key, record); }
+  template <class Fn>
+  void Object(std::string_view, Fn&& fn) { fn(*this); }
+  template <class C>
+  void Array(std::string_view, C& container) {
+    if constexpr (requires { container.resize(2); }) container.resize(2);
+    for (auto& element : container) {
+      if constexpr (std::is_arithmetic_v<std::decay_t<decltype(element)>>) {
+        element = Next<std::decay_t<decltype(element)>>();
+      } else {
+        element.VisitFields(*this);
+      }
+    }
+  }
+  bool WriteIf(bool) const { return true; }
+
+ private:
+  template <class T>
+  T Next() {
+    ++n_;
+    if constexpr (std::is_same_v<T, bool>) {
+      return true;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      return "s" + std::to_string(n_) + " \"q\"\n";
+    } else if constexpr (std::is_floating_point_v<T>) {
+      return static_cast<T>(n_) + 1.0 / 3.0;
+    } else if constexpr (std::is_signed_v<T>) {
+      return static_cast<T>(-1000 - n_);
+    } else {
+      return static_cast<T>(1000 + n_);
+    }
+  }
+  uint64_t n_ = 0;
+};
+
+template <class R>
+R Filled() {
+  R record;
+  FieldFiller filler;
+  record.VisitFields(filler);
+  return record;
+}
+
+template <class R>
+std::string EncodeRecord(const R& record) {
+  std::string out;
+  JsonWriter w(&out, 0);
+  EncodeJson(w, record);
+  return out;
+}
+
+struct CodecCase {
+  std::string name;
+  std::string bytes;
+  // Decodes `bytes` and encodes the result again.
+  std::function<bool(const JsonValue&, std::string*)> reencode;
+  // Keys of conditional blocks the filled record must have written.
+  std::vector<std::string> blocks;
+};
+
+template <class R>
+CodecCase MakeCase(std::string name, const R& record,
+                   std::vector<std::string> blocks = {}) {
+  return CodecCase{std::move(name), EncodeRecord(record),
+                   [](const JsonValue& v, std::string* out) {
+                     R back;
+                     if (!DecodeJson(v, &back)) return false;
+                     *out = EncodeRecord(back);
+                     return true;
+                   },
+                   std::move(blocks)};
+}
+
+TEST(Codec, EveryRecordRoundTripsByteIdentically) {
+  SupervisedOutcome failed;
+  failed.attempts = 3;
+  failed.failure = Filled<JobFailure>();
+  failed.failure.kind = FailureKind::kTimeout;
+
+  const std::vector<CodecCase> cases = {
+      MakeCase("Metrics", Filled<Metrics>(),
+               {"\"exchanges\"", "\"exchanged_4k\"", "\"per_tenant\"",
+                "\"exchange-abort\"", "\"timeline\"", "\"classified\""}),
+      MakeCase("FaultStats", Filled<FaultStats>(), {"\"exchange-abort\""}),
+      MakeCase("AuditReport", Filled<AuditReport>(), {"\"invariant\""}),
+      MakeCase("EpochSample", Filled<EpochSample>(),
+               {"\"tenant_fast_pages\"", "\"hist_bins\"", "\"split_backlog\""}),
+      MakeCase("JobResult", Filled<JobResult>(),
+               {"\"memtis_stats\"", "\"pebs_store_period\"",
+                "\"hemem_overalloc_bytes\"", "\"audit_report\"", "\"epochs\""}),
+      MakeCase("JobFailure", Filled<JobFailure>(), {"\"kind\":\"crash\""}),
+      MakeCase("JobSpec", Filled<JobSpec>(), {"\"shards\""}),
+      MakeCase("SupervisedOutcome(ok)", Filled<SupervisedOutcome>(),
+               {"\"result\""}),
+      MakeCase("SupervisedOutcome(failed)", failed,
+               {"\"failure\"", "\"kind\":\"timeout\""}),
+      MakeCase("WorkItem", Filled<WorkItem>(),
+               {"\"checkpoint_ns\"", "\"spec\""}),
+  };
+  for (const CodecCase& c : cases) {
+    for (const std::string& block : c.blocks) {
+      EXPECT_NE(c.bytes.find(block), std::string::npos)
+          << c.name << ": " << block;
+    }
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(JsonValue::Parse(c.bytes, &doc, &error))
+        << c.name << ": " << error;
+    std::string again;
+    ASSERT_TRUE(c.reencode(doc, &again)) << c.name << ": " << c.bytes;
+    EXPECT_EQ(again, c.bytes) << c.name;
+  }
+}
+
+// Replaces the first `"key":<value>` in `json` (value = the balanced object,
+// array or scalar after the colon) with `"key":replacement`.
+std::string ReplaceValue(const std::string& json, const std::string& key,
+                         const std::string& replacement) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = json.find(needle);
+  EXPECT_NE(at, std::string::npos) << key;
+  const size_t begin = at + needle.size();
+  size_t end = begin;
+  int depth = 0;
+  bool in_string = false;
+  for (; end < json.size(); ++end) {
+    const char c = json[end];
+    if (in_string) {
+      if (c == '\\') ++end;
+      else if (c == '"') in_string = false;
+      continue;
+    }
+    if (c == '"') in_string = true;
+    else if (c == '{' || c == '[') ++depth;
+    else if (c == '}' || c == ']') {
+      if (depth == 0) break;
+      if (--depth == 0) { ++end; break; }
+    } else if (c == ',' && depth == 0) break;
+  }
+  return json.substr(0, begin) + replacement + json.substr(end);
+}
+
+bool DecodesAsResult(const std::string& json) {
+  JsonValue doc;
+  JobResult result;
+  return JsonValue::Parse(json, &doc) && ReadJobResultJson(doc, &result);
+}
+
+JobResult AuditedResult() {
+  JobResult result;
+  result.audited = true;
+  result.audit_report.ticks_audited = 4;
+  result.audit_report.violations_total = 1;
+  result.audit_report.violations.push_back({"frame-conservation", "x", 1, 2});
+  result.epochs.resize(2);
+  return result;
+}
+
+TEST(Codec, MistypedFieldFailsTheRead) {
+  const std::string good = SerializeResult(AuditedResult());
+  ASSERT_TRUE(DecodesAsResult(good));
+  // A nested record, an array element, a scalar and a nested scalar of the
+  // wrong kind each fail the whole record.
+  EXPECT_FALSE(DecodesAsResult(ReplaceValue(good, "audit_report", "5")));
+  EXPECT_FALSE(DecodesAsResult(ReplaceValue(good, "epochs", "[7,{}]")));
+  EXPECT_FALSE(DecodesAsResult(ReplaceValue(good, "epochs", "{}")));
+  EXPECT_FALSE(DecodesAsResult(ReplaceValue(good, "fast_bytes", "\"12\"")));
+  EXPECT_FALSE(DecodesAsResult(ReplaceValue(good, "cores", "true")));
+  EXPECT_FALSE(DecodesAsResult(ReplaceValue(good, "invariant", "null")));
+  // Required records stay required.
+  EXPECT_FALSE(DecodesAsResult(ReplaceValue(good, "metrics", "5")));
+  EXPECT_FALSE(DecodesAsResult("{\"fast_bytes\":1}"));
+
+  // The manifest skips such a line, so a resumed sweep recomputes the cell
+  // instead of trusting an audit with its violations dropped.
+  const std::string path = ::testing::TempDir() + "memtis_codec_manifest.jsonl";
+  std::remove(path.c_str());
+  JobSpec spec_a;
+  spec_a.system = "memtis";
+  spec_a.benchmark = "btree";
+  JobSpec spec_b = spec_a;
+  spec_b.system = "hemem";
+  SupervisedOutcome outcome;
+  outcome.ok = true;
+  outcome.attempts = 1;
+  outcome.result = AuditedResult();
+  {
+    ManifestWriter writer;
+    ASSERT_TRUE(writer.Open(path));
+    writer.Append(JobFingerprint(spec_a), spec_a, outcome);
+    writer.Append(JobFingerprint(spec_b), spec_b, outcome);
+    writer.Close();
+    std::ifstream in(path);
+    std::string line_a, line_b;
+    ASSERT_TRUE(std::getline(in, line_a) && std::getline(in, line_b));
+    in.close();
+    std::ofstream(path, std::ios::trunc)
+        << line_a << "\n" << ReplaceValue(line_b, "audit_report", "5") << "\n";
+  }
+  std::map<std::string, ManifestEntry> loaded;
+  ManifestLoadStats stats;
+  ASSERT_TRUE(LoadManifest(path, &loaded, &stats));
+  EXPECT_EQ(stats.lines_total, 2u);
+  EXPECT_EQ(stats.lines_skipped, 1u);
+  EXPECT_EQ(loaded.count(JobFingerprint(spec_a)), 1u);
+  EXPECT_EQ(loaded.count(JobFingerprint(spec_b)), 0u);
+  std::remove(path.c_str());
+
+  // The socket wire refuses the same result frame.
+  WorkItem item;
+  item.fingerprint = JobFingerprint(spec_a);
+  item.spec = spec_a;
+  const std::string frame = EncodeResultRequest("w0", item, outcome);
+  WorkerRequest req;
+  std::string error;
+  EXPECT_TRUE(ParseWorkerRequest(frame, &req, &error)) << error;
+  EXPECT_FALSE(ParseWorkerRequest(ReplaceValue(frame, "audit_report", "5"),
+                                  &req, &error));
+}
+
+TEST(Codec, AbsentFieldsTakeTheirDefaults) {
+  JsonValue doc;
+  ASSERT_TRUE(JsonValue::Parse("{\"metrics\":{}}", &doc));
+  JobResult result;
+  ASSERT_TRUE(ReadJobResultJson(doc, &result));
+  EXPECT_EQ(result.metrics.cores, 20u);
+  EXPECT_TRUE(result.metrics.cpu_contention);
+
+  ASSERT_TRUE(JsonValue::Parse("{\"memtis\":true}", &doc));
+  EpochSample sample;
+  ASSERT_TRUE(EpochSample::FromJson(doc, &sample));
+  EXPECT_EQ(sample.hot_bin, -1);
+  EXPECT_EQ(sample.cold_bin, -1);
+
+  CoordinatorReply reply;
+  std::string error;
+  ASSERT_TRUE(ParseCoordinatorReply(
+      "{\"type\":\"cell\",\"index\":0,\"fingerprint\":\"f\","
+      "\"spec\":{\"system\":\"memtis\",\"benchmark\":\"btree\",\"shards\":0}}",
+      &reply, &error))
+      << error;
+  EXPECT_EQ(reply.item.checkpoint_ns, 0u);
+  EXPECT_EQ(reply.item.spec.shards, 1u);
+  // The required-field checks hold: a named cell, a positive attempt count.
+  EXPECT_FALSE(ParseCoordinatorReply(
+      "{\"type\":\"cell\",\"index\":0,\"fingerprint\":\"\","
+      "\"spec\":{\"system\":\"memtis\",\"benchmark\":\"btree\"}}",
+      &reply, &error));
+  EXPECT_FALSE(ParseCoordinatorReply(
+      "{\"type\":\"cell\",\"index\":0,\"fingerprint\":\"f\","
+      "\"spec\":{\"system\":\"\",\"benchmark\":\"btree\"}}",
+      &reply, &error));
+  WorkerRequest req;
+  EXPECT_FALSE(ParseWorkerRequest(
+      "{\"type\":\"result\",\"index\":0,\"attempt\":0,\"issue\":0,"
+      "\"ok\":false,\"attempts\":0,\"failure\":{}}",
+      &req, &error));
+  // Out-of-range exponent tokens read as the default, never through an
+  // undefined float-to-integer cast; in-range ones truncate.
+  EXPECT_FALSE(ParseWorkerRequest(
+      "{\"type\":\"result\",\"index\":0,\"attempt\":0,\"issue\":0,"
+      "\"ok\":false,\"attempts\":1e300,\"failure\":{}}",
+      &req, &error));
+  ASSERT_TRUE(JsonValue::Parse(
+      "{\"metrics\":{\"accesses\":-1e300,\"app_ns\":2.5e3,\"cores\":1e30}}",
+      &doc));
+  ASSERT_TRUE(ReadJobResultJson(doc, &result));
+  EXPECT_EQ(result.metrics.accesses, 0u);
+  EXPECT_EQ(result.metrics.app_ns, 2500u);
 }
 
 class HistogramAuditTest : public ::testing::TestWithParam<std::string> {};

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/json.h"
-#include "src/common/json_parse.h"
 #include "src/common/status.h"
 #include "src/runner/coordinator.h"
 #include "src/runner/job_codec.h"
@@ -651,32 +650,6 @@ TEST(ResilientSweep, SupervisedSweepForksFromOneThread) {
   for (const int threads : threads_seen) {
     EXPECT_EQ(threads, 1);
   }
-}
-
-TEST(JobCodec, FailureRoundTripsThroughJson) {
-  JobFailure failure;
-  failure.kind = FailureKind::kCrash;
-  failure.exit_status = 0;
-  failure.signal = SIGABRT;
-  failure.check_expr = "frames_used <= frames_total";
-  failure.stderr_tail = "tail with \"quotes\" and\nnewlines";
-  failure.reproducer_cmdline = "memtis_run --systems=memtis";
-  failure.message = "child died";
-
-  std::string json;
-  JsonWriter w(&json, 0);
-  WriteJobFailureJson(w, failure);
-
-  JsonValue parsed;
-  ASSERT_TRUE(JsonValue::Parse(json, &parsed));
-  JobFailure back;
-  ASSERT_TRUE(ReadJobFailureJson(parsed, &back));
-  EXPECT_EQ(back.kind, failure.kind);
-  EXPECT_EQ(back.signal, failure.signal);
-  EXPECT_EQ(back.check_expr, failure.check_expr);
-  EXPECT_EQ(back.stderr_tail, failure.stderr_tail);
-  EXPECT_EQ(back.reproducer_cmdline, failure.reproducer_cmdline);
-  EXPECT_EQ(back.message, failure.message);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Tenant plane tests: quota enforcement at the memory system, lifecycle
-// churn with reclamation, budget arbitration, the single-tenant byte-identity
-// contract, the --colocate spec grammar, and per-tenant JSON round-trips.
+// Tenant plane tests: plain co-location of default tenants, quota
+// enforcement at the memory system, lifecycle churn with reclamation, budget
+// arbitration, the single-tenant byte-identity contract, the --colocate spec
+// grammar, and the per-tenant JSON block.
 
 #include "src/tenant/tenant.h"
 
@@ -10,7 +11,6 @@
 #include <string>
 
 #include "src/audit/audit_session.h"
-#include "src/common/json_parse.h"
 #include "src/memtis/policy_registry.h"
 #include "src/sim/engine.h"
 #include "src/tenant/colocate.h"
@@ -54,6 +54,49 @@ TenantRun RunTenants(TenantManager& manager, const std::string& system,
   run.tenant_count = engine.mem().tenant_count();
   EXPECT_TRUE(engine.mem().CheckConsistency());
   return run;
+}
+
+// --- Plain co-location: default tenants in one address space ---------------
+
+TEST(TenantManager, FootprintSumsTenants) {
+  TenantManager manager;
+  manager.AddTenant(TenantSpec{}, MakeWorkload("silo", 0.1));
+  manager.AddTenant(TenantSpec{}, MakeWorkload("pagerank", 0.1));
+  EXPECT_EQ(manager.tenant_count(), 2u);
+  EXPECT_EQ(manager.footprint_bytes(),
+            MakeWorkload("silo", 0.1)->footprint_bytes() +
+                MakeWorkload("pagerank", 0.1)->footprint_bytes());
+}
+
+TEST(TenantManager, RunsBothTenantsUnderMemtis) {
+  TenantManager manager;
+  manager.AddTenant(TenantSpec{}, MakeWorkload("silo", 0.1));
+  manager.AddTenant(TenantSpec{}, MakeWorkload("pagerank", 0.1));
+  auto policy = MakePolicy("memtis", manager.footprint_bytes(),
+                           manager.footprint_bytes() / 6);
+  EngineOptions opts;
+  opts.max_accesses = 500'000;
+  Engine engine(MachineFor(manager, 1.0 / 6.0), *policy, opts);
+  const Metrics m = engine.Run(manager);
+  EXPECT_GE(m.accesses, 500'000u);
+  EXPECT_TRUE(engine.mem().CheckConsistency());
+  // Both tenants' regions live side by side (footprint fully mapped).
+  EXPECT_GE(engine.mem().mapped_4k_pages() * kPageSize,
+            manager.footprint_bytes() * 9 / 10);
+}
+
+TEST(TenantManager, FinishesWhenAllTenantsFinish) {
+  // PageRank terminates after its iterations; the manager must end then too
+  // when it is the only tenant.
+  TenantManager manager;
+  manager.AddTenant(TenantSpec{}, MakeWorkload("pagerank", 0.05));
+  auto policy = MakePolicy("all-fast", 0, 0);
+  EngineOptions opts;
+  opts.max_accesses = 1ull << 40;  // no budget cap: natural termination
+  Engine engine(MachineFor(manager, 1.5), *policy, opts);
+  const Metrics m = engine.Run(manager);
+  EXPECT_GT(m.accesses, 0u);
+  EXPECT_LT(m.accesses, 1ull << 32);
 }
 
 // --- Quota enforcement -------------------------------------------------------
@@ -289,31 +332,8 @@ TEST(ColocateSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ColocateSpec::Parse("silo,scale", &spec, &error));
 }
 
-// --- JSON round-trip ---------------------------------------------------------
-
-TEST(TenantMetricsJson, PerTenantRoundTripsLosslessly) {
-  TenantManager manager;
-  TenantSpec a;
-  a.name = "kv";
-  a.quota_fraction = 0.5;
-  manager.AddTenant(a, MakeWorkload("silo", 0.05));
-  TenantSpec b;
-  b.max_accesses = 30'000;
-  manager.AddTenant(b, MakeWorkload("btree", 0.05, 1000));
-  TenantRun run = RunTenants(manager, "memtis", 1.0 / 3.0, 300'000);
-  ASSERT_EQ(run.metrics.per_tenant.size(), 2u);
-
-  const std::string json = run.metrics.ToJson(2);
-  JsonValue parsed;
-  std::string error;
-  ASSERT_TRUE(JsonValue::Parse(json, &parsed, &error)) << error;
-  Metrics decoded;
-  ASSERT_TRUE(Metrics::FromJson(parsed, &decoded));
-  EXPECT_EQ(decoded.ToJson(2), json);
-  ASSERT_EQ(decoded.per_tenant.size(), 2u);
-  EXPECT_EQ(decoded.per_tenant[0].name, "kv");
-  EXPECT_EQ(decoded.per_tenant[1].accesses, run.metrics.per_tenant[1].accesses);
-}
+// --- JSON --------------------------------------------------------------------
+// (The per-tenant block's round trip is in fuzz_test's Codec cases.)
 
 TEST(TenantMetricsJson, LegacyMetricsOmitPerTenant) {
   Metrics m;
