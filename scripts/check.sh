@@ -135,9 +135,12 @@ echo "== ninth pass: checkpoint kill-storm under ASan/UBSan =="
 # socket campaign, storm + auditor included), the snapshot-loader corruption
 # fuzzers, and the real-SIGKILL smoke script — so every snapshot write,
 # restore, quarantine, and resumed fork path is leak- and UB-checked. The
-# buddy allocator's snapshot cases run here too: its loader indexes the
-# free-list links with frame ids read from the payload.
+# buddy allocator's and the memory system's snapshot cases run here too:
+# their loaders must reject frame ids, slot ids, page-table entries and tenant
+# ids read from the payload before anything indexes with them. The
+# Fuzz.Snapshot* filter includes the payload fuzzers (torn and mutated real
+# payloads through RestoreFromPayload).
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" \
-    -R '(Serializer\.|SnapshotFile\.|SnapshotStore\.|Checkpoint\.|BuddySnapshot\.|smoke_checkpoint)'
+    -R '(Serializer\.|SnapshotFile\.|SnapshotStore\.|Checkpoint\.|BuddySnapshot\.|MemorySystemSnapshot\.|smoke_checkpoint)'
 "$BUILD_DIR/tests/fuzz_test" --gtest_filter='Fuzz.Snapshot*'
 echo "checkpoint kill-storm pass: clean"

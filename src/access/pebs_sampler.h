@@ -126,41 +126,22 @@ class PebsSampler {
 
   // Checkpointing: periods, countdowns (signed — the batched path can drive
   // them through zero), controller clocks, buffer fill, and stats.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    for (uint64_t p : period_) w.U64(p);
-    for (int64_t c : countdown_) w.I64(c);
-    w.U64(busy_ns_);
-    w.U64(window_busy_ns_);
-    w.U64(last_adjust_ns_);
-    w.U64(buffer_fill_);
-    w.U64(last_drain_ns_);
-    usage_ema_.SaveState(w);
-    for (uint64_t s : stats_.samples) w.U64(s);
-    for (uint64_t d : stats_.dropped) w.U64(d);
-    w.U64(stats_.overflow_drops);
-    w.U64(stats_.fault_drops);
-    w.U64(stats_.period_raises);
-    w.U64(stats_.period_drops);
-    w.U64(stats_.last_period_change_ns);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    for (uint64_t& p : period_) p = r.U64();
-    for (int64_t& c : countdown_) c = r.I64();
-    busy_ns_ = r.U64();
-    window_busy_ns_ = r.U64();
-    last_adjust_ns_ = r.U64();
-    buffer_fill_ = r.U64();
-    last_drain_ns_ = r.U64();
-    usage_ema_.LoadState(r);
-    for (uint64_t& s : stats_.samples) s = r.U64();
-    for (uint64_t& d : stats_.dropped) d = r.U64();
-    stats_.overflow_drops = r.U64();
-    stats_.fault_drops = r.U64();
-    stats_.period_raises = r.U64();
-    stats_.period_drops = r.U64();
-    stats_.last_period_change_ns = r.U64();
+  void VisitState(StateCodec& c) {
+    c.Array("period", period_);
+    c.Array("countdown", countdown_);
+    c.Field("busy_ns", busy_ns_);
+    c.Field("window_busy_ns", window_busy_ns_);
+    c.Field("last_adjust_ns", last_adjust_ns_);
+    c.Field("buffer_fill", buffer_fill_);
+    c.Field("last_drain_ns", last_drain_ns_);
+    c.Record("usage_ema", usage_ema_);
+    c.Array("samples", stats_.samples);
+    c.Array("dropped", stats_.dropped);
+    c.Field("overflow_drops", stats_.overflow_drops);
+    c.Field("fault_drops", stats_.fault_drops);
+    c.Field("period_raises", stats_.period_raises);
+    c.Field("period_drops", stats_.period_drops);
+    c.Field("last_period_change_ns", stats_.last_period_change_ns);
   }
 
  private:

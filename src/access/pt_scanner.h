@@ -15,6 +15,7 @@
 
 #include "src/mem/memory_system.h"
 #include "src/mem/types.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
@@ -61,24 +62,10 @@ class PtScanner {
 
   // Checkpointing: the referenced bitmap is sized lazily, so the restored
   // vector adopts the snapshot's length.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(referenced_.size());
-    w.Bytes(referenced_.data(), referenced_.size());
-    w.U64(busy_ns_);
-    w.U64(scans_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    const uint64_t n = r.U64();
-    if (n > (1ull << 32)) {
-      r.Fail();
-      return;
-    }
-    referenced_.assign(n, 0);
-    r.Bytes(referenced_.data(), referenced_.size());
-    busy_ns_ = r.U64();
-    scans_ = r.U64();
+  void VisitState(StateCodec& c) {
+    c.Array("referenced", referenced_);
+    c.Field("busy_ns", busy_ns_);
+    c.Field("scans", scans_);
   }
 
  private:

@@ -7,7 +7,7 @@
 
 #include "src/common/json_fields.h"
 #include "src/memtis/memtis_policy.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
@@ -20,10 +20,6 @@ std::string AuditReport::ToJson(int indent) const {
   JsonWriter w(&out, indent);
   WriteJson(w);
   return out;
-}
-
-bool AuditReport::FromJson(const JsonValue& v, AuditReport* out) {
-  return DecodeJson(v, out);
 }
 
 // --- AuditCollector -----------------------------------------------------------
@@ -510,21 +506,11 @@ void InvariantAuditor::AuditNow(Engine& engine, bool include_expensive) {
   }
 }
 
-void InvariantAuditor::SaveState(StateWriter& w) const {
-  w.Section(0x41554454u);  // "AUDT"
-  w.Str(report_.ToJson());
-  w.U64(ticks_seen_);
-  w.U64(audits_run_);
-}
-
-void InvariantAuditor::LoadState(StateReader& r) {
-  r.Section(0x41554454u);
-  JsonValue v;
-  if (!JsonValue::Parse(r.Str(), &v) || !AuditReport::FromJson(v, &report_)) {
-    r.Fail();
-  }
-  ticks_seen_ = r.U64();
-  audits_run_ = r.U64();
+void InvariantAuditor::VisitState(StateCodec& c) {
+  c.Section(0x41554454u);  // "AUDT"
+  c.Record("report", report_);
+  c.Field("ticks_seen", ticks_seen_);
+  c.Field("audits_run", audits_run_);
 }
 
 }  // namespace memtis

@@ -29,7 +29,6 @@
 namespace memtis {
 
 class JsonWriter;
-class JsonValue;
 class MemtisPolicy;
 
 // One failed invariant, with the virtual-time context it fired in.
@@ -58,8 +57,9 @@ struct AuditReport {
 
   bool ok() const { return violations_total == 0; }
 
-  // The one JSON field list (src/common/json_fields.h); WriteJson, ToJson
-  // and FromJson all walk it, so a new field is added here only.
+  // The one field list (src/common/json_fields.h); WriteJson, ToJson,
+  // DecodeJson and the snapshot codec all walk it, so a new field is added
+  // here only.
   template <class V>
   void VisitFields(V& v) {
     v.Derived("ok", [this] { return ok(); });
@@ -71,12 +71,6 @@ struct AuditReport {
 
   void WriteJson(JsonWriter& w) const;
   std::string ToJson(int indent = 0) const;
-
-  // Decodes the field list, so supervised children can stream audit
-  // outcomes back over the pipe, --resume can reload them and snapshots can
-  // restore them. False when `v` is not an object or a field has the wrong
-  // kind.
-  static bool FromJson(const JsonValue& v, AuditReport* out);
 };
 
 // Sink the Check* functions report into. Carries the virtual-time context and
@@ -236,11 +230,10 @@ class InvariantAuditor : public EngineObserver {
   const AuditReport& report() const { return report_; }
   uint64_t ticks_seen() const { return ticks_seen_; }
 
-  // Checkpointing: the report (lossless JSON codec) plus the tick/audit
-  // counters, so a restored run's audit document matches the uninterrupted
-  // one byte for byte. Registered checks are reconstructed by construction.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // Checkpointing: the report plus the tick/audit counters, so a restored
+  // run's audit document matches the uninterrupted one byte for byte.
+  // Registered checks are reconstructed by construction.
+  void VisitState(StateCodec& c);
 
  private:
   struct Check {

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "src/common/json.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
@@ -40,24 +40,12 @@ void AuditSession::WriteJson(JsonWriter& w) const {
   w.EndObject();
 }
 
-void AuditSession::SaveState(StateWriter& w) const {
-  auditor_.SaveState(w);
-  w.Bool(recorder_.has_value());
-  if (recorder_.has_value()) {
-    recorder_->SaveState(w);
-  }
-}
-
-void AuditSession::LoadState(StateReader& r) {
-  auditor_.LoadState(r);
-  const bool had_recorder = r.Bool();
-  if (had_recorder != recorder_.has_value()) {
-    // Snapshot was taken by a session with different options.
-    r.Fail();
-    return;
-  }
-  if (recorder_.has_value()) {
-    recorder_->LoadState(r);
+void AuditSession::VisitState(StateCodec& c) {
+  c.Record("auditor", auditor_);
+  // A session with different options took the snapshot when this disagrees.
+  c.Check("recorder", recorder_.has_value());
+  if (recorder_.has_value() && c.ok()) {
+    c.Record("recorder", *recorder_);
   }
 }
 

@@ -38,10 +38,9 @@ class AuditSession : public EngineObserver {
   // {"report": {...}, "epochs": {...}?}
   void WriteJson(JsonWriter& w) const;
 
-  // Checkpointing: auditor + (optional) recorder state. LoadState requires a
+  // Checkpointing: auditor + (optional) recorder state. A load requires a
   // session constructed with the same options (recorder presence must match).
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  void VisitState(StateCodec& c);
 
  private:
   InvariantAuditor auditor_;

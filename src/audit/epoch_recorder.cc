@@ -4,15 +4,11 @@
 
 #include "src/common/json_fields.h"
 #include "src/memtis/memtis_policy.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
 void EpochSample::WriteJson(JsonWriter& w) const { EncodeJson(w, *this); }
-
-bool EpochSample::FromJson(const JsonValue& v, EpochSample* out) {
-  return DecodeJson(v, out);
-}
 
 EpochRecorder::EpochRecorder() : EpochRecorder(Options()) {}
 
@@ -108,60 +104,18 @@ std::vector<EpochSample> EpochRecorder::samples() const {
   return out;
 }
 
-void EpochRecorder::SaveState(StateWriter& w) const {
-  w.Section(0x45504348u);  // "EPCH"
-  // Raw ring order (not chronological): LoadState restores slots verbatim so
-  // the wrap arithmetic keyed on recorded_total_ keeps working.
-  w.U64(ring_.size());
-  for (const EpochSample& s : ring_) {
-    std::string json;
-    JsonWriter jw(&json);
-    s.WriteJson(jw);
-    w.Str(json);
+void EpochRecorder::VisitState(StateCodec& c) {
+  c.Section(0x45504348u);  // "EPCH"
+  // Raw ring order (not chronological): a load restores slots verbatim so
+  // the wrap arithmetic keyed on recorded_total_ keeps working — which needs
+  // the ring as full as the count says.
+  c.Array("ring", ring_);
+  c.Field("recorded_total", recorded_total_);
+  c.Field("next_epoch_ns", next_epoch_ns_);
+  c.Record("prev", prev_);
+  if (c.loading() && ring_.size() != std::min(recorded_total_, options_.capacity)) {
+    c.Fail();
   }
-  w.U64(recorded_total_);
-  w.U64(next_epoch_ns_);
-  w.U64(prev_.accesses);
-  w.U64(prev_.promoted_4k);
-  w.U64(prev_.demoted_4k);
-  w.U64(prev_.splits);
-  w.U64(prev_.collapses);
-  w.U64(prev_.demand_faults);
-  w.U64(prev_.shootdowns);
-  w.U64(prev_.samples);
-  w.U64(prev_.period_raises);
-  w.U64(prev_.period_drops);
-}
-
-void EpochRecorder::LoadState(StateReader& r) {
-  r.Section(0x45504348u);
-  const uint64_t n = r.U64();
-  if (n > options_.capacity) {
-    r.Fail();
-    return;
-  }
-  ring_.clear();
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    JsonValue v;
-    EpochSample s;
-    if (!JsonValue::Parse(r.Str(), &v) || !EpochSample::FromJson(v, &s)) {
-      r.Fail();
-      return;
-    }
-    ring_.push_back(std::move(s));
-  }
-  recorded_total_ = r.U64();
-  next_epoch_ns_ = r.U64();
-  prev_.accesses = r.U64();
-  prev_.promoted_4k = r.U64();
-  prev_.demoted_4k = r.U64();
-  prev_.splits = r.U64();
-  prev_.collapses = r.U64();
-  prev_.demand_faults = r.U64();
-  prev_.shootdowns = r.U64();
-  prev_.samples = r.U64();
-  prev_.period_raises = r.U64();
-  prev_.period_drops = r.U64();
 }
 
 void EpochRecorder::WriteJson(JsonWriter& w) const {

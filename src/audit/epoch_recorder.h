@@ -19,9 +19,7 @@
 namespace memtis {
 
 class JsonWriter;
-class JsonValue;
-class StateWriter;
-class StateReader;
+class StateCodec;
 
 // One epoch's worth of telemetry. Event counters are deltas over the epoch;
 // occupancy, periods, thresholds, bins, and backlogs are sampled at its end.
@@ -62,8 +60,8 @@ struct EpochSample {
   uint64_t demotion_backlog = 0;
   uint64_t split_backlog = 0;
 
-  // The one JSON field list (src/common/json_fields.h); WriteJson and
-  // FromJson both walk it, so a new field is added here only.
+  // The one field list (src/common/json_fields.h); WriteJson, DecodeJson
+  // and the snapshot codec all walk it, so a new field is added here only.
   template <class V>
   void VisitFields(V& v) {
     v.Field("epoch", epoch);
@@ -98,11 +96,6 @@ struct EpochSample {
   }
 
   void WriteJson(JsonWriter& w) const;
-
-  // Decodes the field list (the MEMTIS block only when `memtis`), for the
-  // runner's result codec and snapshots. False when `v` is not an object or
-  // a field has the wrong kind.
-  static bool FromJson(const JsonValue& v, EpochSample* out);
 };
 
 // EngineObserver that emits an EpochSample every `interval_ns` of virtual time
@@ -135,10 +128,9 @@ class EpochRecorder : public EngineObserver {
   // {"interval_ns":..., "recorded_total":..., "dropped":..., "samples":[...]}
   void WriteJson(JsonWriter& w) const;
 
-  // Checkpointing: ring slots (raw index order, via the EpochSample JSON
-  // codec), total count, and the epoch schedule/delta baselines.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // Checkpointing: ring slots (raw index order), total count, and the epoch
+  // schedule/delta baselines.
+  void VisitState(StateCodec& c);
 
  private:
   void Record(Engine& engine);
@@ -154,6 +146,20 @@ class EpochRecorder : public EngineObserver {
     uint64_t samples = 0;
     uint64_t period_raises = 0;
     uint64_t period_drops = 0;
+
+    template <class V>
+    void VisitFields(V& v) {
+      v.Field("accesses", accesses);
+      v.Field("promoted_4k", promoted_4k);
+      v.Field("demoted_4k", demoted_4k);
+      v.Field("splits", splits);
+      v.Field("collapses", collapses);
+      v.Field("demand_faults", demand_faults);
+      v.Field("shootdowns", shootdowns);
+      v.Field("samples", samples);
+      v.Field("period_raises", period_raises);
+      v.Field("period_drops", period_drops);
+    }
   };
 
   Options options_;

@@ -1,14 +1,15 @@
 // One field list per record: the JSON encoder and decoder both walk it.
 //
 // A record that crosses a JSON transport (the sinks, the supervisor pipe, the
-// --resume manifest, the socket wire, snapshot payloads) lists its fields
-// once, in a member
+// --resume manifest, the socket wire) lists its fields once, in a member
 //
 //   template <class V> void VisitFields(V& v);
 //
 // JsonFieldWriter walks that list to encode and JsonFieldReader walks it to
 // decode, so a new field is added in exactly one place — its record's
-// VisitFields — and the two directions cannot drift apart. The field kinds:
+// VisitFields — and the two directions cannot drift apart. Snapshot payloads
+// walk the same list in binary (StateCodec, src/snapshot/state_codec.h).
+// The field kinds:
 //
 //   v.Field(key, member)          a scalar: integer, double, bool or string
 //   v.Derived(key, get)           written as get(), skipped on read (ratios,

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/snapshot/state_codec.h"
+
 namespace memtis {
 
 // SplitMix64: used for seeding and as a cheap stateless mixer.
@@ -47,14 +49,7 @@ class Rng {
 
   // Stream-position checkpointing: the four state words are the entire
   // generator, so saving and restoring them resumes the exact sequence.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    for (uint64_t word : s_) w.U64(word);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    for (uint64_t& word : s_) word = r.U64();
-  }
+  void VisitState(StateCodec& c) { c.Array("s", s_); }
 
  private:
   uint64_t s_[4];

@@ -7,6 +7,8 @@
 #include <span>
 #include <vector>
 
+#include "src/snapshot/state_codec.h"
+
 namespace memtis {
 
 // Streaming mean/variance/min/max (Welford).
@@ -21,21 +23,12 @@ class RunningStat {
   double min() const { return min_; }
   double max() const { return max_; }
 
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(count_);
-    w.F64(mean_);
-    w.F64(m2_);
-    w.F64(min_);
-    w.F64(max_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    count_ = r.U64();
-    mean_ = r.F64();
-    m2_ = r.F64();
-    min_ = r.F64();
-    max_ = r.F64();
+  void VisitState(StateCodec& c) {
+    c.Field("count", count_);
+    c.Field("mean", mean_);
+    c.Field("m2", m2_);
+    c.Field("min", min_);
+    c.Field("max", max_);
   }
 
  private:
@@ -56,15 +49,9 @@ class Ema {
   double value() const { return value_; }
   bool initialized() const { return initialized_; }
 
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.F64(value_);
-    w.Bool(initialized_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    value_ = r.F64();
-    initialized_ = r.Bool();
+  void VisitState(StateCodec& c) {
+    c.Field("value", value_);
+    c.Field("initialized", initialized_);
   }
 
  private:

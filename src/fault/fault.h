@@ -186,17 +186,9 @@ class FaultInjector {
   // Checkpointing: the plan and enabled flag are configuration (rebuilt from
   // the job spec); the RNG position and injection/roll counters are the
   // mutable stream state that must resume exactly.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    rng_.SaveState(w);
-    for (uint64_t n : stats_.injected) w.U64(n);
-    for (uint64_t n : stats_.rolls) w.U64(n);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    rng_.LoadState(r);
-    for (uint64_t& n : stats_.injected) n = r.U64();
-    for (uint64_t& n : stats_.rolls) n = r.U64();
+  void VisitState(StateCodec& c) {
+    c.Record("rng", rng_);
+    c.Record("stats", stats_);
   }
 
  private:

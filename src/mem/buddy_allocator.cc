@@ -212,4 +212,31 @@ std::array<uint64_t, BuddyAllocator::kMaxOrder + 1> BuddyAllocator::FreeBlockCou
   return counts;
 }
 
+std::vector<FrameId> BuddyAllocator::FreeList(FrameId head) const {
+  std::vector<FrameId> list;
+  for (FrameId f = head; f != kNil && list.size() < total_frames_; f = links_[f].next) {
+    list.push_back(f);
+  }
+  return list;
+}
+
+void BuddyAllocator::Relink(StateCodec& c, FrameId& head,
+                            const std::vector<FrameId>& list) {
+  head = kNil;
+  if (list.size() > total_frames_) {
+    c.Fail();
+    return;
+  }
+  FrameId tail = kNil;
+  for (const FrameId f : list) {
+    if (f >= total_frames_) {
+      c.Fail();
+      return;
+    }
+    links_[f] = Block{kNil, tail};
+    (tail == kNil ? head : links_[tail].next) = f;
+    tail = f;
+  }
+}
+
 }  // namespace memtis

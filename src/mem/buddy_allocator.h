@@ -12,10 +12,12 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/mem/types.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
@@ -67,50 +69,16 @@ class BuddyAllocator {
   // snapshot, as it does any count or frame id past the tier. The loader
   // never consults state_ to decide which links to rebuild: the lists
   // restore exactly as saved, and CheckConsistency judges the pair.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(total_frames_);
-    w.U64(free_frames_);
-    w.Bytes(state_.data(), state_.size());
-    for (FrameId head : free_head_) {
-      uint64_t count = 0;  // bounded: a cyclic list cannot run away
-      for (FrameId f = head; f != kNil && count < total_frames_; f = links_[f].next) {
-        ++count;
-      }
-      w.U64(count);
-      FrameId f = head;
-      for (uint64_t i = 0; i < count; ++i, f = links_[f].next) {
-        w.U64(f);
-      }
+  void VisitState(StateCodec& c) {
+    c.Check("total_frames", total_frames_);
+    c.Field("free_frames", free_frames_);
+    c.Array("state", std::span(state_));
+    if (c.loading()) {
+      std::fill(links_.begin(), links_.end(), Block{kNil, kNil});
     }
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    if (r.U64() != total_frames_) {
-      r.Fail();
-      return;
-    }
-    free_frames_ = r.U64();
-    r.Bytes(state_.data(), state_.size());
-    std::fill(links_.begin(), links_.end(), Block{kNil, kNil});
     for (FrameId& head : free_head_) {
-      head = kNil;
-      const uint64_t count = r.U64();
-      if (count > total_frames_) {
-        r.Fail();
-        return;
-      }
-      FrameId tail = kNil;
-      for (uint64_t i = 0; i < count; ++i) {
-        const FrameId f = r.U64();
-        if (f >= total_frames_) {
-          r.Fail();
-          return;
-        }
-        links_[f] = Block{kNil, tail};
-        (tail == kNil ? head : links_[tail].next) = f;
-        tail = f;
-      }
+      c.Mapped("free_list", [&] { return FreeList(head); },
+               [&](const std::vector<FrameId>& list) { Relink(c, head, list); });
     }
   }
 
@@ -126,6 +94,11 @@ class BuddyAllocator {
   void RemoveFree(FrameId frame, int order);
 
   bool IsFreeHead(FrameId frame, int order) const;
+
+  // A free list head to tail (bounded: a cyclic list cannot run away), and
+  // its restore, which checks every id before it indexes the links.
+  std::vector<FrameId> FreeList(FrameId head) const;
+  void Relink(StateCodec& c, FrameId& head, const std::vector<FrameId>& list);
 
   uint64_t total_frames_ = 0;
   uint64_t free_frames_ = 0;

@@ -5,7 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
@@ -903,285 +903,133 @@ bool MemorySystem::CheckConsistency(const MemCensus& census, std::string* error)
 }
 
 namespace {
-// Per-slot layout tags keep the writer and loader honest about which branch
-// (live vs recycled) a slot took.
 constexpr uint32_t kSectionMem = 0x4d454d53;  // "MEMS"
 constexpr uint32_t kSectionTenants = 0x544e5453;
-
-void SaveTenant(StateWriter& w, const TenantFrameStats& t) {
-  w.U64(t.mapped_4k_tier[0]);
-  w.U64(t.mapped_4k_tier[1]);
-  w.U64(t.quota_frames);
-  w.U64(t.borrow_frames);
-  w.U64(t.quota_denied_allocs);
-  w.U64(t.quota_denied_promotions);
-  w.U64(t.quota_steals);
-  w.U64(t.budget_denied_promotions);
-  w.Bool(t.budget.active);
-  w.U64(t.budget.rate_per_ms);
-  w.U64(t.budget.burst);
-  w.U64(t.budget.tokens);
-  w.U64(t.budget.last_refill_ns);
-  w.U64(t.budget.consumed_pages);
-  w.U64(t.budget.credited_pages);
-}
-
-void LoadTenant(StateReader& r, TenantFrameStats& t) {
-  t.mapped_4k_tier[0] = r.U64();
-  t.mapped_4k_tier[1] = r.U64();
-  t.quota_frames = r.U64();
-  t.borrow_frames = r.U64();
-  t.quota_denied_allocs = r.U64();
-  t.quota_denied_promotions = r.U64();
-  t.quota_steals = r.U64();
-  t.budget_denied_promotions = r.U64();
-  t.budget.active = r.Bool();
-  t.budget.rate_per_ms = r.U64();
-  t.budget.burst = r.U64();
-  t.budget.tokens = r.U64();
-  t.budget.last_refill_ns = r.U64();
-  t.budget.consumed_pages = r.U64();
-  t.budget.credited_pages = r.U64();
-}
 }  // namespace
 
-void MemorySystem::SaveState(StateWriter& w) const {
-  SIM_CHECK(!in_steal_);  // checkpoints only fire at engine-loop safe points
-  w.Section(kSectionMem);
-  for (const MemoryTier& tier : tiers_) {
-    tier.allocator().SaveState(w);
+void MemorySystem::VisitState(StateCodec& c) {
+  SIM_CHECK(c.loading() || !in_steal_);  // checkpoints fire at safe points
+  c.Section(kSectionMem);
+  uint64_t total_frames = 0;
+  for (MemoryTier& tier : tiers_) {
+    c.Record("allocator", tier.allocator());
+    total_frames += tier.allocator().total_frames();
   }
 
-  w.U64(pages_.size());
-  for (PageIndex i = 0; i < pages_.size(); ++i) {
-    const PageInfo& p = pages_[i];
-    w.U32(p.generation);
-    w.Bool(p.live);
+  // Page slots: every slot's generation (so stale PageRefs stay stale), the
+  // metadata of live ones. A slot is added only while no slot is free, and
+  // every live page holds a frame, so the tiers' frames bound the count.
+  const uint64_t slots = c.Count("slots", pages_.size(), total_frames);
+  if (c.loading()) {
+    pages_.clear();
+    pages_.resize(slots);
+    hot_ = PageHotArrays{};
+    hot_.Resize(slots);
+  }
+  for (PageIndex i = 0; i < slots && c.ok(); ++i) {
+    PageInfo& p = pages_[i];
+    if (c.loading()) {
+      p.hot = &hot_;
+      p.self = i;
+    }
+    c.Field("generation", p.generation);
+    c.Field("live", p.live);
     if (!p.live) {
       continue;
     }
-    w.U64(p.base_vpn);
-    w.U32(p.tenant);
-    w.U32(p.cooling_epoch);
-    w.U8(p.histogram_bin);
-    w.Bool(p.in_promotion_list);
-    w.Bool(p.in_demotion_list);
-    w.Bool(p.split_queued);
-    w.U64(p.alloc_time_ns);
-    w.U64(p.policy_word0);
-    w.U64(p.policy_word1);
-    w.U8(static_cast<uint8_t>(hot_.kind[i]));
-    w.U8(static_cast<uint8_t>(hot_.tier[i]));
-    w.U64(hot_.frame[i]);
-    w.U64(hot_.access_count[i]);
-    w.Bool(p.huge != nullptr);
-    if (p.huge != nullptr) {
-      for (uint32_t c : p.huge->subpage_count) w.U32(c);
-      for (uint64_t word : SubpageWords(p.huge->accessed)) w.U64(word);
-      for (uint64_t word : SubpageWords(p.huge->written)) w.U64(word);
-      w.U32(p.huge->nonzero_subpages);
+    c.Field("base_vpn", p.base_vpn);
+    c.Field("tenant", p.tenant);
+    c.Field("cooling_epoch", p.cooling_epoch);
+    c.Field("histogram_bin", p.histogram_bin);
+    c.Field("in_promotion_list", p.in_promotion_list);
+    c.Field("in_demotion_list", p.in_demotion_list);
+    c.Field("split_queued", p.split_queued);
+    c.Field("alloc_time_ns", p.alloc_time_ns);
+    c.Field("policy_word0", p.policy_word0);
+    c.Field("policy_word1", p.policy_word1);
+    c.Enum("kind", hot_.kind[i], static_cast<uint8_t>(PageKind::kHuge) + 1);
+    c.Enum("tier", hot_.tier[i], kNumTiers);
+    c.Field("frame", hot_.frame[i]);
+    c.Field("access_count", hot_.access_count[i]);
+    bool huge = p.huge != nullptr;
+    c.Field("huge", huge);
+    if (huge) {
+      if (c.loading()) {
+        p.huge = std::make_unique<HugePageMeta>();
+      }
+      c.Record("huge_meta", *p.huge);
     }
   }
 
-  w.U64(free_slots_.size());
-  for (PageIndex slot : free_slots_) w.U32(slot);
-
-  w.U64(page_table_.size());
-  for (PageIndex e : page_table_) w.U32(e);
-
-  w.U64(live_pages_);
-  w.U64(mapped_4k_);
-  w.U64(huge_pages_);
-  w.U64(mapped_4k_tier_[0]);
-  w.U64(mapped_4k_tier_[1]);
-  w.U64(written_subpages_);
-  w.U64(huge_meta_pool_.size());
-  w.U64(huge_meta_allocated_);
-  w.U64(pinned_frames_);
-  w.U64(pinned_per_tier_[0]);
-  w.U64(pinned_per_tier_[1]);
-
-  w.U64(regions_.size());
-  for (const auto& [vpn, region] : regions_) {
-    w.U64(vpn);
-    w.U64(region.start_vpn);
-    w.U64(region.num_pages);
-    w.U32(region.tenant);
+  c.Array("free_slots", free_slots_);
+  c.Array("page_table", page_table_);
+  c.Field("live_pages", live_pages_);
+  c.Field("mapped_4k", mapped_4k_);
+  c.Field("huge_pages", huge_pages_);
+  c.Array("mapped_4k_tier", mapped_4k_tier_);
+  c.Field("written_subpages", written_subpages_);
+  // Pooled metas are empty buffers: only their number is stored. Each one
+  // served a live huge page, which holds 512 frames, so the tiers bound it.
+  const uint64_t pooled = c.Count("huge_meta_pool", huge_meta_pool_.size(),
+                                  total_frames / kSubpagesPerHuge);
+  c.Field("huge_meta_allocated", huge_meta_allocated_);
+  if (c.loading()) {
+    huge_meta_pool_.clear();
+    for (uint64_t i = 0; i < pooled; ++i) {
+      huge_meta_pool_.push_back(std::make_unique<HugePageMeta>());
+    }
   }
-  w.U64(free_vpn_ranges_.size());
-  for (const auto& [vpn, len] : free_vpn_ranges_) {
-    w.U64(vpn);
-    w.U64(len);
+  c.Field("pinned_frames", pinned_frames_);
+  c.Array("pinned_per_tier", pinned_per_tier_);
+  c.Array("regions", regions_);
+  c.Array("free_vpn_ranges", free_vpn_ranges_);
+  c.Field("vpn_bump", vpn_bump_);
+  c.Field("max_free_range_bound", max_free_range_bound_);
+  c.Record("migration", migration_stats_);
+
+  c.Section(kSectionTenants);
+  c.Array("tenants", tenants_);
+  c.Field("current_tenant", current_tenant_);
+  in_steal_ = false;
+  if (c.loading() && c.ok() && !LoadedIndicesInRange()) {
+    c.Fail();
   }
-  w.U64(vpn_bump_);
-  w.U64(max_free_range_bound_);
-
-  const MigrationStats& m = migration_stats_;
-  w.U64(m.promoted_base);
-  w.U64(m.promoted_huge);
-  w.U64(m.demoted_base);
-  w.U64(m.demoted_huge);
-  w.U64(m.failed_migrations);
-  w.U64(m.aborted_migrations);
-  w.U64(m.splits);
-  w.U64(m.collapses);
-  w.U64(m.freed_zero_subpages);
-  w.U64(m.demand_faults);
-  w.U64(m.exchanges);
-  w.U64(m.exchanged_huge);
-  w.U64(m.failed_exchanges);
-  w.U64(m.aborted_exchanges);
-
-  w.Section(kSectionTenants);
-  w.U64(tenants_.size());
-  for (const TenantFrameStats& t : tenants_) SaveTenant(w, t);
-  w.U32(current_tenant_);
 }
 
-void MemorySystem::LoadState(StateReader& r) {
-  r.Section(kSectionMem);
-  for (MemoryTier& tier : tiers_) {
-    tier.allocator().LoadState(r);
+bool MemorySystem::LoadedIndicesInRange() const {
+  // Every value a later lookup indexes with: tenant ids, slot ids, page-table
+  // entries and frames. A CRC-valid file is not a trusted one.
+  const size_t tenants = tenants_.size();
+  if (tenants == 0 || tenants > (size_t{1} << 16) || current_tenant_ >= tenants ||
+      huge_meta_pool_.size() > huge_meta_allocated_) {
+    return false;
   }
-
-  const uint64_t slots = r.U64();
-  if (!r.ok() || slots > (1ull << 32)) {
-    r.Fail();
-    return;
-  }
-  pages_.clear();
-  pages_.resize(slots);
-  hot_ = PageHotArrays{};
-  hot_.Resize(slots);
-  for (PageIndex i = 0; i < slots && r.ok(); ++i) {
-    PageInfo& p = pages_[i];
-    p.hot = &hot_;
-    p.self = i;
-    p.generation = r.U32();
-    p.live = r.Bool();
+  for (const PageInfo& p : pages_) {
     if (!p.live) {
       continue;
     }
-    p.base_vpn = r.U64();
-    p.tenant = static_cast<TenantId>(r.U32());
-    p.cooling_epoch = r.U32();
-    p.histogram_bin = r.U8();
-    p.in_promotion_list = r.Bool();
-    p.in_demotion_list = r.Bool();
-    p.split_queued = r.Bool();
-    p.alloc_time_ns = r.U64();
-    p.policy_word0 = r.U64();
-    p.policy_word1 = r.U64();
-    hot_.kind[i] = static_cast<PageKind>(r.U8());
-    hot_.tier[i] = static_cast<TierId>(r.U8());
-    hot_.frame[i] = r.U64();
-    hot_.access_count[i] = r.U64();
-    if (r.Bool()) {
-      p.huge = std::make_unique<HugePageMeta>();
-      for (uint32_t& c : p.huge->subpage_count) c = r.U32();
-      std::array<uint64_t, kSubpageWords> words;
-      for (uint64_t& word : words) word = r.U64();
-      p.huge->accessed = SubpagesFromWords(words);
-      for (uint64_t& word : words) word = r.U64();
-      p.huge->written = SubpagesFromWords(words);
-      p.huge->nonzero_subpages = r.U32();
+    const uint64_t frames = tier(p.tier()).allocator().total_frames();
+    if (p.tenant >= tenants || p.frame() >= frames ||
+        frames - p.frame() < p.size_pages()) {
+      return false;
     }
   }
-
-  const uint64_t num_free = r.U64();
-  if (!r.ok() || num_free > slots) {
-    r.Fail();
-    return;
+  for (const PageIndex slot : free_slots_) {
+    if (slot >= pages_.size()) {
+      return false;
+    }
   }
-  free_slots_.clear();
-  free_slots_.reserve(num_free);
-  for (uint64_t i = 0; i < num_free; ++i) {
-    free_slots_.push_back(static_cast<PageIndex>(r.U32()));
+  for (const PageIndex entry : page_table_) {
+    if (entry != kInvalidPage && entry >= pages_.size()) {
+      return false;
+    }
   }
-
-  const uint64_t table = r.U64();
-  if (!r.ok() || table > (1ull << 40)) {
-    r.Fail();
-    return;
+  for (const auto& [vpn, region] : regions_) {
+    if (region.tenant >= tenants) {
+      return false;
+    }
   }
-  page_table_.assign(table, kInvalidPage);
-  for (uint64_t i = 0; i < table && r.ok(); ++i) {
-    page_table_[i] = static_cast<PageIndex>(r.U32());
-  }
-
-  live_pages_ = r.U64();
-  mapped_4k_ = r.U64();
-  huge_pages_ = r.U64();
-  mapped_4k_tier_[0] = r.U64();
-  mapped_4k_tier_[1] = r.U64();
-  written_subpages_ = r.U64();
-  const uint64_t pooled = r.U64();
-  huge_meta_allocated_ = r.U64();
-  if (!r.ok() || pooled > huge_meta_allocated_) {
-    r.Fail();
-    return;
-  }
-  huge_meta_pool_.clear();
-  for (uint64_t i = 0; i < pooled; ++i) {
-    huge_meta_pool_.push_back(std::make_unique<HugePageMeta>());
-  }
-  pinned_frames_ = r.U64();
-  pinned_per_tier_[0] = r.U64();
-  pinned_per_tier_[1] = r.U64();
-
-  const uint64_t num_regions = r.U64();
-  if (!r.ok() || num_regions > (1ull << 32)) {
-    r.Fail();
-    return;
-  }
-  regions_.clear();
-  for (uint64_t i = 0; i < num_regions && r.ok(); ++i) {
-    const Vpn key = r.U64();
-    Region region;
-    region.start_vpn = r.U64();
-    region.num_pages = r.U64();
-    region.tenant = static_cast<TenantId>(r.U32());
-    regions_.emplace(key, region);
-  }
-  const uint64_t num_ranges = r.U64();
-  if (!r.ok() || num_ranges > (1ull << 32)) {
-    r.Fail();
-    return;
-  }
-  free_vpn_ranges_.clear();
-  for (uint64_t i = 0; i < num_ranges && r.ok(); ++i) {
-    const Vpn key = r.U64();
-    free_vpn_ranges_[key] = r.U64();
-  }
-  vpn_bump_ = r.U64();
-  max_free_range_bound_ = r.U64();
-
-  MigrationStats& m = migration_stats_;
-  m.promoted_base = r.U64();
-  m.promoted_huge = r.U64();
-  m.demoted_base = r.U64();
-  m.demoted_huge = r.U64();
-  m.failed_migrations = r.U64();
-  m.aborted_migrations = r.U64();
-  m.splits = r.U64();
-  m.collapses = r.U64();
-  m.freed_zero_subpages = r.U64();
-  m.demand_faults = r.U64();
-  m.exchanges = r.U64();
-  m.exchanged_huge = r.U64();
-  m.failed_exchanges = r.U64();
-  m.aborted_exchanges = r.U64();
-
-  r.Section(kSectionTenants);
-  const uint64_t num_tenants = r.U64();
-  if (!r.ok() || num_tenants == 0 || num_tenants > 65536) {
-    r.Fail();
-    return;
-  }
-  tenants_.assign(num_tenants, TenantFrameStats{});
-  for (TenantFrameStats& t : tenants_) LoadTenant(r, t);
-  current_tenant_ = static_cast<TenantId>(r.U32());
-  in_steal_ = false;
+  return true;
 }
 
 }  // namespace memtis

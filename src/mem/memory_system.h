@@ -24,13 +24,12 @@
 #include "src/fault/fault.h"
 #include "src/mem/page.h"
 #include "src/mem/tier.h"
+#include "src/snapshot/state_codec.h"
 #include "src/mem/tlb.h"
 #include "src/mem/types.h"
 
 namespace memtis {
 
-class StateWriter;
-class StateReader;
 
 struct MemoryConfig {
   uint64_t fast_frames = 0;      // 4 KiB frames in the fast tier
@@ -151,6 +150,17 @@ struct TenantBudget {
       last_refill_ns = now_ns;
     }
   }
+
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("active", active);
+    v.Field("rate_per_ms", rate_per_ms);
+    v.Field("burst", burst);
+    v.Field("tokens", tokens);
+    v.Field("last_refill_ns", last_refill_ns);
+    v.Field("consumed_pages", consumed_pages);
+    v.Field("credited_pages", credited_pages);
+  }
 };
 
 // Per-tenant frame accounting and fast-tier quota state. The audit layer
@@ -172,6 +182,18 @@ struct TenantFrameStats {
 
   uint64_t fast_pages() const {
     return mapped_4k_tier[static_cast<int>(TierId::kFast)];
+  }
+
+  template <class V>
+  void VisitFields(V& v) {
+    v.Array("mapped_4k_tier", mapped_4k_tier);
+    v.Field("quota_frames", quota_frames);
+    v.Field("borrow_frames", borrow_frames);
+    v.Field("quota_denied_allocs", quota_denied_allocs);
+    v.Field("quota_denied_promotions", quota_denied_promotions);
+    v.Field("quota_steals", quota_steals);
+    v.Field("budget_denied_promotions", budget_denied_promotions);
+    v.Record("budget", budget);
   }
   uint64_t effective_fast_limit() const {
     return std::max(quota_frames, borrow_frames);
@@ -490,24 +512,34 @@ class MemorySystem {
 
   // --- Checkpointing (src/snapshot/) ------------------------------------------
   //
-  // Serializes every mutable field — page slots (live metadata + hot SoA
-  // twin + per-slot generations, so stale PageRefs stay stale), the buddy
-  // allocators' free-list order, the page table, region maps, tenant
-  // ownership/quota/borrow ratchets, and the migration ledger — against a
-  // freshly constructed MemorySystem of the same MemoryConfig. LoadState
-  // rebuilds the derived structure (hot/self back-references, pooled
-  // HugePageMeta buffers) and latches the reader's error flag on any
-  // configuration mismatch. Attached pointers (TLB, clock, faults) are not
-  // serialized; the owner re-attaches them.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // Lists every mutable field (src/snapshot/state_codec.h) — page slots
+  // (live metadata + hot SoA twin + per-slot generations, so stale PageRefs
+  // stay stale), the buddy allocators' free-list order, the page table,
+  // region maps, tenant ownership/quota/borrow ratchets, and the migration
+  // ledger. A load goes into a freshly constructed MemorySystem of the same
+  // MemoryConfig, rebuilds the derived structure (hot/self back-references,
+  // pooled HugePageMeta buffers), and fails on any configuration mismatch
+  // and on any tier, kind, slot id, page-table entry, frame or tenant id out
+  // of range. Attached pointers (TLB, clock, faults) are not stored; the
+  // owner re-attaches them.
+  void VisitState(StateCodec& c);
 
  private:
   struct Region {
-    Vpn start_vpn;
-    uint64_t num_pages;
+    Vpn start_vpn = 0;
+    uint64_t num_pages = 0;
     TenantId tenant = kDefaultTenant;  // owner; stamped onto every page mapped
+
+    template <class V>
+    void VisitFields(V& v) {
+      v.Field("start_vpn", start_vpn);
+      v.Field("num_pages", num_pages);
+      v.Field("tenant", tenant);
+    }
   };
+
+  // After a load: false when a restored index would reach past its table.
+  bool LoadedIndicesInRange() const;
 
   uint64_t now() const { return now_ns_ != nullptr ? *now_ns_ : 0; }
 

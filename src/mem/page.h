@@ -30,7 +30,7 @@ static_assert(kSubpagesPerHuge % 64 == 0 &&
 
 // A subpage bitset as its eight words, subpage 64k+b at bit b of word k: the
 // layout libstdc++ and libc++ both give std::bitset. Snapshots store these
-// words (MemorySystem::SaveState); a test pins the layout.
+// words (HugePageMeta::VisitFields); a test pins the layout.
 inline std::array<uint64_t, kSubpageWords> SubpageWords(
     const std::bitset<kSubpagesPerHuge>& set) {
   return std::bit_cast<std::array<uint64_t, kSubpageWords>>(set);
@@ -85,6 +85,17 @@ struct HugePageMeta {
   }
 
   uint32_t accessed_count() const { return static_cast<uint32_t>(accessed.count()); }
+
+  // Snapshot field list: the bitsets as their words (SubpageWords).
+  template <class V>
+  void VisitFields(V& v) {
+    v.Array("subpage_count", subpage_count);
+    v.Mapped("accessed", [this] { return SubpageWords(accessed); },
+             [this](const auto& words) { accessed = SubpagesFromWords(words); });
+    v.Mapped("written", [this] { return SubpageWords(written); },
+             [this](const auto& words) { written = SubpagesFromWords(words); });
+    v.Field("nonzero_subpages", nonzero_subpages);
+  }
 };
 
 // Structure-of-arrays storage for the fields the access hot path touches on

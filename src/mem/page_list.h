@@ -9,6 +9,7 @@
 #include <deque>
 
 #include "src/mem/types.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
@@ -29,25 +30,7 @@ class PageList {
 
   // Checkpointing: queue order is consumption order, so the deque is
   // serialized front to back.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(queue_.size());
-    for (const PageRef& ref : queue_) {
-      w.U64(ref.index);
-      w.U64(ref.generation);
-    }
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    queue_.clear();
-    const uint64_t n = r.U64();
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-      PageRef ref;
-      ref.index = static_cast<PageIndex>(r.U64());
-      ref.generation = static_cast<uint32_t>(r.U64());
-      queue_.push_back(ref);
-    }
-  }
+  void VisitState(StateCodec& c) { c.Array("queue", queue_); }
 
  private:
   std::deque<PageRef> queue_;

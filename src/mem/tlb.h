@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/mem/types.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
@@ -107,34 +109,13 @@ class Tlb {
   uint32_t huge_capacity() const { return huge_mask_ + 1; }
 
   // Checkpointing: tags + stats are the whole mutable state; the masks are
-  // configuration and are cross-checked on load.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U32(base_mask_);
-    w.U32(huge_mask_);
-    for (Vpn tag : base_tags_) w.U64(tag);
-    for (Vpn tag : huge_tags_) w.U64(tag);
-    w.U64(stats_.base_hits);
-    w.U64(stats_.base_misses);
-    w.U64(stats_.huge_hits);
-    w.U64(stats_.huge_misses);
-    w.U64(stats_.shootdowns);
-    w.U64(stats_.invalidated_entries);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    if (r.U32() != base_mask_ || r.U32() != huge_mask_) {
-      r.Fail();
-      return;
-    }
-    for (Vpn& tag : base_tags_) tag = r.U64();
-    for (Vpn& tag : huge_tags_) tag = r.U64();
-    stats_.base_hits = r.U64();
-    stats_.base_misses = r.U64();
-    stats_.huge_hits = r.U64();
-    stats_.huge_misses = r.U64();
-    stats_.shootdowns = r.U64();
-    stats_.invalidated_entries = r.U64();
+  // configuration (the tag arrays' sizes) and are cross-checked on load.
+  void VisitState(StateCodec& c) {
+    c.Check("base_mask", base_mask_);
+    c.Check("huge_mask", huge_mask_);
+    c.Array("base_tags", std::span(base_tags_));
+    c.Array("huge_tags", std::span(huge_tags_));
+    c.Record("stats", stats_);
   }
 
  private:

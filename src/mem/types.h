@@ -54,6 +54,12 @@ struct PageRef {
   uint32_t generation = 0;
 
   bool operator==(const PageRef&) const = default;
+
+  template <class V>
+  void VisitFields(V& v) {
+    v.Field("index", index);
+    v.Field("generation", generation);
+  }
 };
 
 // One memory access issued by a workload. In keeping with the paper's PEBS

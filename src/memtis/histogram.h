@@ -13,6 +13,8 @@
 #include <bit>
 #include <cstdint>
 
+#include "src/snapshot/state_codec.h"
+
 namespace memtis {
 
 class AccessHistogram {
@@ -62,14 +64,7 @@ class AccessHistogram {
   };
   Thresholds ComputeThresholds(uint64_t fast_capacity_units, double alpha) const;
 
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    for (uint64_t b : bins_) w.U64(b);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    for (uint64_t& b : bins_) b = r.U64();
-  }
+  void VisitState(StateCodec& c) { c.Array("bins", bins_); }
 
  private:
   std::array<uint64_t, kBins> bins_{};

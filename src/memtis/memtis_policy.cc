@@ -6,7 +6,7 @@
 
 #include "src/common/check.h"
 #include "src/policies/policy_util.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
@@ -710,119 +710,38 @@ namespace {
 constexpr uint32_t kSectionMemtis = 0x4d544953u;  // "MTIS"
 }  // namespace
 
-void MemtisPolicy::SaveState(StateWriter& w) const {
-  w.Section(kSectionMemtis);
-  sampler_.SaveState(w);
-  hist_.SaveState(w);
-  base_hist_.SaveState(w);
-  w.U64(tenant_hists_.size());
-  for (const AccessHistogram& h : tenant_hists_) {
-    h.SaveState(w);
-  }
-  w.I64(thresholds_.hot);
-  w.I64(thresholds_.warm);
-  w.I64(thresholds_.cold);
-  w.I64(base_hot_bin_);
-  w.U32(cool_epoch_);
-  w.U64(samples_processed_);
-  w.U64(samples_since_adapt_);
-  w.U64(samples_since_cool_);
-  w.U64(samples_since_estimate_);
-  w.U64(win_samples_);
-  w.U64(win_fast_hits_);
-  w.U64(win_base_hot_hits_);
-  w.F64(avg_samples_per_hp_);
-  w.U32(consecutive_gap_windows_);
-  promotion_list_.SaveState(w);
-  demotion_list_.SaveState(w);
-  split_queue_.SaveState(w);
-  w.U64(demotion_refill_cursor_);
-  w.U64(exchange_cursor_);
-  for (const auto& bucket : skew_buckets_) {
-    w.U64(bucket.size());
-    for (const PageRef& ref : bucket) {
-      w.U64(ref.index);
-      w.U64(ref.generation);
-    }
-  }
-  w.U64(next_migrate_ns_);
-  hybrid_scanner_.SaveState(w);
-  w.U64(next_hybrid_scan_ns_);
-  ehr_stat_.SaveState(w);
-  rhr_stat_.SaveState(w);
-  w.U64(stats_.coolings);
-  w.U64(stats_.threshold_adaptations);
-  w.U64(stats_.benefit_estimations);
-  w.U64(stats_.split_rounds_triggered);
-  w.U64(stats_.splits_performed);
-  w.U64(stats_.split_subpages_to_fast);
-  w.U64(stats_.collapses_performed);
-  w.F64(stats_.last_ehr);
-  w.F64(stats_.last_rhr);
-}
-
-void MemtisPolicy::LoadState(StateReader& r) {
-  r.Section(kSectionMemtis);
-  sampler_.LoadState(r);
-  hist_.LoadState(r);
-  base_hist_.LoadState(r);
-  const uint64_t num_tenant_hists = r.U64();
-  if (num_tenant_hists > 65536) {
-    r.Fail();
-    return;
-  }
-  tenant_hists_.assign(num_tenant_hists, AccessHistogram{});
-  for (AccessHistogram& h : tenant_hists_) {
-    h.LoadState(r);
-  }
-  thresholds_.hot = static_cast<int>(r.I64());
-  thresholds_.warm = static_cast<int>(r.I64());
-  thresholds_.cold = static_cast<int>(r.I64());
-  base_hot_bin_ = static_cast<int>(r.I64());
-  cool_epoch_ = r.U32();
-  samples_processed_ = r.U64();
-  samples_since_adapt_ = r.U64();
-  samples_since_cool_ = r.U64();
-  samples_since_estimate_ = r.U64();
-  win_samples_ = r.U64();
-  win_fast_hits_ = r.U64();
-  win_base_hot_hits_ = r.U64();
-  avg_samples_per_hp_ = r.F64();
-  consecutive_gap_windows_ = r.U32();
-  promotion_list_.LoadState(r);
-  demotion_list_.LoadState(r);
-  split_queue_.LoadState(r);
-  demotion_refill_cursor_ = static_cast<PageIndex>(r.U64());
-  exchange_cursor_ = static_cast<PageIndex>(r.U64());
-  for (auto& bucket : skew_buckets_) {
-    const uint64_t n = r.U64();
-    if (n > (1ull << 32)) {
-      r.Fail();
-      return;
-    }
-    bucket.clear();
-    bucket.reserve(n);
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-      PageRef ref;
-      ref.index = static_cast<PageIndex>(r.U64());
-      ref.generation = static_cast<uint32_t>(r.U64());
-      bucket.push_back(ref);
-    }
-  }
-  next_migrate_ns_ = r.U64();
-  hybrid_scanner_.LoadState(r);
-  next_hybrid_scan_ns_ = r.U64();
-  ehr_stat_.LoadState(r);
-  rhr_stat_.LoadState(r);
-  stats_.coolings = r.U64();
-  stats_.threshold_adaptations = r.U64();
-  stats_.benefit_estimations = r.U64();
-  stats_.split_rounds_triggered = r.U64();
-  stats_.splits_performed = r.U64();
-  stats_.split_subpages_to_fast = r.U64();
-  stats_.collapses_performed = r.U64();
-  stats_.last_ehr = r.F64();
-  stats_.last_rhr = r.F64();
+void MemtisPolicy::VisitState(StateCodec& c) {
+  c.Section(kSectionMemtis);
+  c.Record("sampler", sampler_);
+  c.Record("hist", hist_);
+  c.Record("base_hist", base_hist_);
+  c.Array("tenant_hists", tenant_hists_);
+  c.Field("hot", thresholds_.hot);
+  c.Field("warm", thresholds_.warm);
+  c.Field("cold", thresholds_.cold);
+  c.Field("base_hot_bin", base_hot_bin_);
+  c.Field("cool_epoch", cool_epoch_);
+  c.Field("samples_processed", samples_processed_);
+  c.Field("samples_since_adapt", samples_since_adapt_);
+  c.Field("samples_since_cool", samples_since_cool_);
+  c.Field("samples_since_estimate", samples_since_estimate_);
+  c.Field("win_samples", win_samples_);
+  c.Field("win_fast_hits", win_fast_hits_);
+  c.Field("win_base_hot_hits", win_base_hot_hits_);
+  c.Field("avg_samples_per_hp", avg_samples_per_hp_);
+  c.Field("consecutive_gap_windows", consecutive_gap_windows_);
+  c.Record("promotion_list", promotion_list_);
+  c.Record("demotion_list", demotion_list_);
+  c.Record("split_queue", split_queue_);
+  c.Field("demotion_refill_cursor", demotion_refill_cursor_);
+  c.Field("exchange_cursor", exchange_cursor_);
+  c.Array("skew_buckets", skew_buckets_);
+  c.Field("next_migrate_ns", next_migrate_ns_);
+  c.Record("hybrid_scanner", hybrid_scanner_);
+  c.Field("next_hybrid_scan_ns", next_hybrid_scan_ns_);
+  c.Record("ehr_stat", ehr_stat_);
+  c.Record("rhr_stat", rhr_stat_);
+  c.Record("stats", stats_);
 }
 
 }  // namespace memtis

@@ -138,12 +138,11 @@ class MemtisPolicy : public TieringPolicy {
 
   // Checkpointing: the full mutable pipeline — sampler, histograms (global,
   // base, per-tenant), thresholds, event counters, queues, skew buckets,
-  // hybrid scanner, and run statistics. Init() must run before LoadState on
-  // the restore path (re-attaches the sampler's fault injector; LoadState
-  // then overwrites the thresholds Init reset).
+  // hybrid scanner, and run statistics. Init() must run before a load
+  // (re-attaches the sampler's fault injector; the load then overwrites the
+  // thresholds Init reset).
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
+  void VisitState(StateCodec& c) override;
 
  private:
   // Hotness of one 4 KiB unit when treated as a base page (used by the

@@ -11,7 +11,7 @@
 
 #include "src/policies/policy_util.h"
 #include "src/sim/policy.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
@@ -62,17 +62,11 @@ class AutoNumaPolicy : public TieringPolicy {
   }
 
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override {
-    w.Section(0x414e554du);  // "ANUM"
-    arm_.SaveState(w);
-    limiter_.SaveState(w);
-    w.U64(next_scan_ns_);
-  }
-  void LoadState(StateReader& r) override {
-    r.Section(0x414e554du);
-    arm_.LoadState(r);
-    limiter_.LoadState(r);
-    next_scan_ns_ = r.U64();
+  void VisitState(StateCodec& c) override {
+    c.Section(0x414e554du);  // "ANUM"
+    c.Record("arm", arm_);
+    c.Record("limiter", limiter_);
+    c.Field("next_scan_ns", next_scan_ns_);
   }
 
  private:

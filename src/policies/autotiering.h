@@ -14,7 +14,7 @@
 
 #include "src/policies/policy_util.h"
 #include "src/sim/policy.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
@@ -65,25 +65,15 @@ class AutoTieringPolicy : public TieringPolicy {
   }
 
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override {
-    w.Section(0x4154524eu);  // "ATRN"
-    arm_.SaveState(w);
-    limiter_.SaveState(w);
-    w.U64(next_scan_ns_);
-    w.U64(scan_epoch_);
-    w.Bool(demotion_started_);
-    w.U64(demote_cursor_);
-    w.U64(exchange_cursor_);
-  }
-  void LoadState(StateReader& r) override {
-    r.Section(0x4154524eu);
-    arm_.LoadState(r);
-    limiter_.LoadState(r);
-    next_scan_ns_ = r.U64();
-    scan_epoch_ = r.U64();
-    demotion_started_ = r.Bool();
-    demote_cursor_ = static_cast<PageIndex>(r.U64());
-    exchange_cursor_ = static_cast<PageIndex>(r.U64());
+  void VisitState(StateCodec& c) override {
+    c.Section(0x4154524eu);  // "ATRN"
+    c.Record("arm", arm_);
+    c.Record("limiter", limiter_);
+    c.Field("next_scan_ns", next_scan_ns_);
+    c.Field("scan_epoch", scan_epoch_);
+    c.Field("demotion_started", demotion_started_);
+    c.Field("demote_cursor", demote_cursor_);
+    c.Field("exchange_cursor", exchange_cursor_);
   }
 
  private:

@@ -16,7 +16,7 @@
 #include "src/mem/page_list.h"
 #include "src/policies/policy_util.h"
 #include "src/sim/policy.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
@@ -84,31 +84,20 @@ class HeMemPolicy : public TieringPolicy {
   // Fast-tier bytes consumed by small allocations (paper Table 3).
   uint64_t over_allocated_bytes() const { return over_allocated_bytes_; }
 
-  // Checkpointing. Init() (sampler fault re-attach) must run before LoadState
-  // on the restore path; per-page sample counts live in the page policy words
-  // serialized with the memory system.
+  // Checkpointing. Init() (sampler fault re-attach) must run before a load;
+  // per-page sample counts live in the page policy words listed with the
+  // memory system.
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override {
-    w.Section(0x48454d4du);  // "HEMM"
-    sampler_.SaveState(w);
-    promote_list_.SaveState(w);
-    w.U64(hot_bytes_);
-    w.U64(over_allocated_bytes_);
-    w.U64(next_migrate_ns_);
-    w.U64(last_spin_charge_ns_);
-    w.U64(demote_cursor_);
-    w.U64(exchange_cursor_);
-  }
-  void LoadState(StateReader& r) override {
-    r.Section(0x48454d4du);
-    sampler_.LoadState(r);
-    promote_list_.LoadState(r);
-    hot_bytes_ = r.U64();
-    over_allocated_bytes_ = r.U64();
-    next_migrate_ns_ = r.U64();
-    last_spin_charge_ns_ = r.U64();
-    demote_cursor_ = static_cast<PageIndex>(r.U64());
-    exchange_cursor_ = static_cast<PageIndex>(r.U64());
+  void VisitState(StateCodec& c) override {
+    c.Section(0x48454d4du);  // "HEMM"
+    c.Record("sampler", sampler_);
+    c.Record("promote_list", promote_list_);
+    c.Field("hot_bytes", hot_bytes_);
+    c.Field("over_allocated_bytes", over_allocated_bytes_);
+    c.Field("next_migrate_ns", next_migrate_ns_);
+    c.Field("last_spin_charge_ns", last_spin_charge_ns_);
+    c.Field("demote_cursor", demote_cursor_);
+    c.Field("exchange_cursor", exchange_cursor_);
   }
 
  private:

@@ -142,15 +142,9 @@ class MigrationRateLimiter {
     return true;
   }
 
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(window_start_ns_);
-    w.U64(used_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    window_start_ns_ = r.U64();
-    used_ = r.U64();
+  void VisitState(StateCodec& c) {
+    c.Field("window_start_ns", window_start_ns_);
+    c.Field("used", used_);
   }
 
  private:
@@ -214,14 +208,7 @@ class HintFaultArm {
 
   // Armed bits live in page policy words (serialized with the memory system);
   // only the scan cursor is policy-side state.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(cursor_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    cursor_ = static_cast<PageIndex>(r.U64());
-  }
+  void VisitState(StateCodec& c) { c.Field("cursor", cursor_); }
 
  private:
   uint64_t armed_bit_;

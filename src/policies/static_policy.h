@@ -7,7 +7,7 @@
 #define MEMTIS_SIM_SRC_POLICIES_STATIC_POLICY_H_
 
 #include "src/sim/policy.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 
@@ -45,8 +45,7 @@ class StaticPolicy : public TieringPolicy {
 
   // Stateless: the section marker alone keeps the snapshot layout checked.
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override { w.Section(0x53544154u); }
-  void LoadState(StateReader& r) override { r.Section(0x53544154u); }
+  void VisitState(StateCodec& c) override { c.Section(0x53544154u); }
 
  private:
   TierId target_;

@@ -9,7 +9,7 @@
 #include "src/memtis/policy_registry.h"
 #include "src/policies/hemem.h"
 #include "src/sim/engine.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 #include "src/snapshot/snapshot_file.h"
 #include "src/workloads/registry.h"
 
@@ -71,23 +71,40 @@ Cell BuildCell(const JobSpec& spec) {
   return cell;
 }
 
+// The payload's one list: the engine section embeds the full MemorySystem;
+// policy and workload follow; the audit session closes the stream
+// (presence-checked so plain and MEMTIS_AUDIT=1 runs both checkpoint).
+void VisitCell(StateCodec& c, Engine& engine, TieringPolicy& policy,
+               Workload& workload, AuditSession* audit) {
+  engine.VisitState(c);
+  if (c.loading()) {
+    if (!c.ok()) {
+      return;  // Init must not see a half-restored engine
+    }
+    // Policies re-attach engine-owned resources (the sampler's fault
+    // injector) in Init(); the load then overwrites whatever Init reset.
+    policy.Init(engine.ctx());
+  }
+  policy.VisitState(c);
+  workload.VisitState(c);
+  c.Check("audit", audit != nullptr);
+  if (audit != nullptr && c.ok()) {
+    audit->VisitState(c);
+  }
+}
+
 }  // namespace
 
-// Serialization order: the engine section embeds the full MemorySystem;
-// policy and workload follow; the audit session closes the stream
-// (presence-flagged so plain and MEMTIS_AUDIT=1 runs both checkpoint).
 std::string BuildSnapshotPayload(const Engine& engine,
                                  const TieringPolicy& policy,
                                  const Workload& workload,
                                  const AuditSession* audit) {
+  // The state lists serve both directions, so they are non-const; a save
+  // only reads through them.
   StateWriter w;
-  engine.SaveState(w);
-  policy.SaveState(w);
-  workload.SaveState(w);
-  w.Bool(audit != nullptr);
-  if (audit != nullptr) {
-    audit->SaveState(w);
-  }
+  StateCodec c(w);
+  VisitCell(c, const_cast<Engine&>(engine), const_cast<TieringPolicy&>(policy),
+            const_cast<Workload&>(workload), const_cast<AuditSession*>(audit));
   return w.Take();
 }
 
@@ -95,20 +112,8 @@ bool RestoreFromPayload(const std::string& payload, Engine& engine,
                         TieringPolicy& policy, Workload& workload,
                         AuditSession* audit) {
   StateReader r(payload);
-  engine.LoadState(r);
-  // Init() before LoadState: policies re-attach engine-owned resources (the
-  // sampler's fault injector) there; LoadState then overwrites whatever
-  // defaults Init reset.
-  policy.Init(engine.ctx());
-  policy.LoadState(r);
-  workload.LoadState(r);
-  const bool had_audit = r.Bool();
-  if (had_audit != (audit != nullptr)) {
-    return false;
-  }
-  if (audit != nullptr) {
-    audit->LoadState(r);
-  }
+  StateCodec c(r);
+  VisitCell(c, engine, policy, workload, audit);
   return r.Done();
 }
 

@@ -9,7 +9,9 @@
 //    restores from the newest valid snapshot and finishes with byte-identical
 //    metrics, audit document, and sink bytes (tests/snapshot_test.cc).
 //  - Coverage. Checkpointing is opt-in per policy/workload via the
-//    SupportsCheckpoint/SaveState/LoadState hooks. CheckpointSupported(spec)
+//    SupportsCheckpoint/VisitState hooks: each component lists its state
+//    once, and the same list saves and loads (src/snapshot/state_codec.h).
+//    CheckpointSupported(spec)
 //    reports up front whether a cell can checkpoint; unsupported cells refuse
 //    with a structured kInvalidSpec failure instead of writing snapshots that
 //    could not restore faithfully.
@@ -54,8 +56,9 @@ std::string BuildSnapshotPayload(const Engine& engine,
 
 // Restores a payload into freshly constructed components. Returns false (and
 // leaves the components unusable — the caller rebuilds from scratch) on any
-// mismatch: section-marker skew, config drift caught by a LoadState
-// cross-check, trailing garbage, or audit-presence disagreement.
+// mismatch: section-marker skew, config drift caught by a state list's
+// cross-check, an index out of range, trailing garbage, or audit-presence
+// disagreement.
 bool RestoreFromPayload(const std::string& payload, Engine& engine,
                         TieringPolicy& policy, Workload& workload,
                         AuditSession* audit);

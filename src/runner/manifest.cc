@@ -95,16 +95,6 @@ void ManifestWriter::Append(const std::string& fingerprint, const JobSpec& spec,
   w.Field("v", static_cast<uint64_t>(1));
   w.Field("fingerprint", fingerprint);
   w.Field("cell", CanonicalJobSpec(spec));
-  w.Key("spec");
-  w.BeginObject();
-  w.Field("system", spec.system);
-  w.Field("benchmark", spec.benchmark);
-  w.Field("machine", spec.machine_name());
-  w.Field("fast_ratio", spec.fast_ratio);
-  w.Field("base_seed", spec.base_seed);
-  w.Field("seed_index", spec.seed_index);
-  w.Field("engine_seed", spec.engine_seed);
-  w.EndObject();
   EncodeJsonFields(w, outcome);
   w.EndObject();
   line += '\n';

@@ -2,8 +2,8 @@
 // cells keyed by canonical JobSpec fingerprint (job_codec.h).
 //
 // Each line is one self-contained JSON object — {"v":1,"fingerprint":...,
-// "cell":...,"spec":{...},"ok":...,"attempts":...,"result"|"failure":{...}} —
-// flushed as soon as the cell finishes, so a manifest is valid after a crash
+// "cell":...,"ok":...,"attempts":...,"result"|"failure":{...}} — flushed as
+// soon as the cell finishes, so a manifest is valid after a crash
 // or SIGKILL at any byte: the loader skips lines that do not parse or do not
 // decode (most commonly a truncated final line) and keeps going. Duplicate
 // fingerprints are last-wins, which makes re-running with the same --resume

@@ -50,15 +50,6 @@ class CpuAccount {
     v.Derived("total_busy_ns", [this] { return total_busy(); });
   }
 
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    for (uint64_t b : busy_) w.U64(b);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    for (uint64_t& b : busy_) b = r.U64();
-  }
-
  private:
   std::array<uint64_t, static_cast<int>(DaemonKind::kCount)> busy_{};
 };

@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/common/json_parse.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 #include "src/trace/trace.h"
 
 namespace memtis {
@@ -313,54 +312,27 @@ namespace {
 constexpr uint32_t kSectionEngine = 0x454e4753;  // "ENGS"
 }  // namespace
 
-void Engine::SaveState(StateWriter& w) const {
-  w.Section(kSectionEngine);
-  w.Bool(started_);
-  w.U64(now_ns_);
-  w.U64(next_tick_ns_);
-  w.U64(next_snapshot_ns_);
-  w.U64(fault_shrunk_frames_);
-  w.U64(window_accesses_);
-  w.U64(window_fast_);
-  w.U64(window_start_ns_);
-  w.U64(ctx_.pending_app_ns);
-  rng_.SaveState(w);
-  migration_budget_.SaveState(w);
-  fault_injector_.SaveState(w);
-  tlb_.SaveState(w);
-  w.Str(metrics_.ToJson());
-  mem_.SaveState(w);
-}
-
-void Engine::LoadState(StateReader& r) {
-  r.Section(kSectionEngine);
-  started_ = r.Bool();
-  now_ns_ = r.U64();
-  next_tick_ns_ = r.U64();
-  next_snapshot_ns_ = r.U64();
-  fault_shrunk_frames_ = r.U64();
-  window_accesses_ = r.U64();
-  window_fast_ = r.U64();
-  window_start_ns_ = r.U64();
-  ctx_.pending_app_ns = r.U64();
-  rng_.LoadState(r);
-  migration_budget_.LoadState(r);
-  fault_injector_.LoadState(r);
-  tlb_.LoadState(r);
-  const std::string metrics_json = r.Str();
-  if (r.ok()) {
-    JsonValue v;
-    Metrics restored;
-    if (!JsonValue::Parse(metrics_json, &v, nullptr) ||
-        !Metrics::FromJson(v, &restored)) {
-      r.Fail();
-      return;
-    }
-    metrics_ = std::move(restored);
+void Engine::VisitState(StateCodec& c) {
+  c.Section(kSectionEngine);
+  c.Field("started", started_);
+  c.Field("now_ns", now_ns_);
+  c.Field("next_tick_ns", next_tick_ns_);
+  c.Field("next_snapshot_ns", next_snapshot_ns_);
+  c.Field("fault_shrunk_frames", fault_shrunk_frames_);
+  c.Field("window_accesses", window_accesses_);
+  c.Field("window_fast", window_fast_);
+  c.Field("window_start_ns", window_start_ns_);
+  c.Field("pending_app_ns", ctx_.pending_app_ns);
+  c.Record("rng", rng_);
+  c.Record("migration_budget", migration_budget_);
+  c.Record("faults", fault_injector_);
+  c.Record("tlb", tlb_);
+  c.Record("metrics", metrics_);
+  c.Record("mem", mem_);
+  if (c.loading()) {
+    ctx_.now_ns = now_ns_;
+    UpdateNextEvent();
   }
-  mem_.LoadState(r);
-  ctx_.now_ns = now_ns_;
-  UpdateNextEvent();
 }
 
 void Engine::MaybeShrinkFastTier() {

@@ -116,18 +116,16 @@ class Engine {
   // Step() boundary at or past each multiple of `interval_ns` of virtual
   // time (skip-ahead like the tick schedule, so a long stall produces one
   // checkpoint, not a burst). The hook must not touch simulation state:
-  // checkpointing on vs off stays byte-identical. Call it again after
-  // LoadState to re-derive the next deadline from the restored clock.
+  // checkpointing on vs off stays byte-identical. Call it again after a
+  // load to re-derive the next deadline from the restored clock.
   void EnableCheckpoints(uint64_t interval_ns, std::function<void()> fn);
 
-  // Serializes / restores the engine-owned mutable state: clocks, RNG
-  // stream, metrics (lossless JSON codec), migration budget, fault-injector
-  // cursors, TLB ledger, and the full MemorySystem. Policy and workload
-  // state are serialized by the caller via their own hooks. LoadState
-  // assumes `this` was freshly constructed from the same MachineConfig,
-  // EngineOptions, and policy; mismatches latch the reader's error flag.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // The engine-owned mutable state (src/snapshot/state_codec.h): clocks, RNG
+  // stream, metrics, migration budget, fault-injector cursors, TLB ledger,
+  // and the full MemorySystem. Policy and workload state are listed by
+  // their own hooks. A load assumes `this` was freshly constructed from the
+  // same MachineConfig, EngineOptions, and policy; mismatches fail it.
+  void VisitState(StateCodec& c);
 
  private:
   void DoAccessImpl(Vaddr addr, bool is_write);

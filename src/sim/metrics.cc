@@ -15,8 +15,4 @@ void Metrics::WriteJson(JsonWriter& w, bool include_timeline) const {
   EncodeJson(w, *this, include_timeline ? "" : "timeline");
 }
 
-bool Metrics::FromJson(const JsonValue& v, Metrics* out) {
-  return DecodeJson(v, out);
-}
-
 }  // namespace memtis

@@ -15,7 +15,6 @@
 namespace memtis {
 
 class JsonWriter;
-class JsonValue;
 
 // Sizes of the hot/warm/cold sets as classified by a policy (Fig. 2 / Fig. 9).
 struct ClassifiedSizes {
@@ -164,12 +163,13 @@ struct Metrics {
     return t == 0.0 ? 0.0 : static_cast<double>(accesses) * 1e3 / t;
   }
 
-  // The one JSON field list (src/common/json_fields.h): counters, the
+  // The one field list (src/common/json_fields.h): counters, the
   // cpu/tlb/migration/faults breakdowns, derived ratios, per-tenant slices
   // and the timeline, in the stable order of the result sinks' schema (see
   // src/runner/result_sink.h and the README's "Running sweeps" schema). A
-  // new field is added here and nowhere else; the writer and the reader
-  // below both walk this list.
+  // new field is added here and nowhere else: the JSON writer and reader
+  // (DecodeJson) and the snapshot codec (src/snapshot/state_codec.h) all
+  // walk this list.
   template <class V>
   void VisitFields(V& v) {
     v.Field("accesses", accesses);
@@ -207,13 +207,6 @@ struct Metrics {
   // nest metrics inside a job record). `include_timeline` = false drops the
   // timeline array for compact sweep files.
   void WriteJson(JsonWriter& w, bool include_timeline = true) const;
-
-  // Decodes the field list, used by the supervisor pipe, the --resume
-  // manifest and snapshots: every raw counter and the timeline come back
-  // bit-for-bit (integers re-parsed as uint64, doubles via the
-  // round-trippable "%.17g" format); derived fields are recomputed, never
-  // read. False when `v` is not an object or a field has the wrong kind.
-  static bool FromJson(const JsonValue& v, Metrics* out);
 };
 
 }  // namespace memtis

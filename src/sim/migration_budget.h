@@ -71,25 +71,13 @@ class MigrationBudget {
 
   // Checkpointing: rate/burst are configuration (cross-checked on load); the
   // bucket balance, refill clock, and audit ledger restore verbatim.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(rate_per_ms_);
-    w.U64(burst_);
-    w.U64(tokens_);
-    w.U64(last_refill_ns_);
-    w.U64(consumed_pages_);
-    w.U64(credited_pages_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    if (r.U64() != rate_per_ms_ || r.U64() != burst_) {
-      r.Fail();
-      return;
-    }
-    tokens_ = r.U64();
-    last_refill_ns_ = r.U64();
-    consumed_pages_ = r.U64();
-    credited_pages_ = r.U64();
+  void VisitState(StateCodec& c) {
+    c.Check("rate_per_ms", rate_per_ms_);
+    c.Check("burst", burst_);
+    c.Field("tokens", tokens_);
+    c.Field("last_refill_ns", last_refill_ns_);
+    c.Field("consumed_pages", consumed_pages_);
+    c.Field("credited_pages", credited_pages_);
   }
 
  private:

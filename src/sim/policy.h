@@ -133,16 +133,15 @@ class TieringPolicy {
 
   // --- Checkpointing (src/snapshot/) ------------------------------------------
   //
-  // Policies opt in by overriding all three hooks. SaveState serializes every
-  // mutable field; LoadState restores them into a freshly constructed policy
-  // with the same parameters after Init() ran (Init must be attach-only /
-  // idempotent for checkpointable policies). Restore failures latch the
-  // reader's error flag. A policy that leaves SupportsCheckpoint at the
-  // default refuses checkpointed runs with a structured error up front —
-  // never a snapshot that could restore unfaithfully.
+  // Policies opt in by overriding both hooks. VisitState lists every mutable
+  // field once (src/snapshot/state_codec.h); the same list saves and, into a
+  // freshly constructed policy with the same parameters after Init() ran
+  // (Init must be attach-only / idempotent for checkpointable policies),
+  // loads. A policy that leaves SupportsCheckpoint at the default refuses
+  // checkpointed runs with a structured error up front — never a snapshot
+  // that could restore unfaithfully.
   virtual bool SupportsCheckpoint() const { return false; }
-  virtual void SaveState(StateWriter& w) const { (void)w; }
-  virtual void LoadState(StateReader& r) { (void)r; }
+  virtual void VisitState(StateCodec& c) { (void)c; }
 };
 
 }  // namespace memtis

@@ -18,8 +18,7 @@
 namespace memtis {
 
 class Engine;
-class StateWriter;
-class StateReader;
+class StateCodec;
 
 // Facade handed to workloads; forwards to the engine.
 class App {
@@ -84,16 +83,14 @@ class Workload {
 
   // --- Checkpointing (src/snapshot/) ------------------------------------------
   //
-  // Opt-in like TieringPolicy's hooks. SaveState captures the workload's
-  // cursors and the base addresses of its regions; LoadState restores them
-  // into a freshly constructed workload of the same (name, scale, seed) —
-  // Setup() is NOT called on the restore path (the restored MemorySystem
-  // already holds the regions), so LoadState must rebuild any derived
-  // structures (indices, samplers) from the saved bases itself. Restore
-  // failures latch the reader's error flag.
+  // Opt-in like TieringPolicy's hooks. VisitState lists the workload's
+  // cursors and the base addresses of its regions; a load restores them into
+  // a freshly constructed workload of the same (name, scale, seed) — Setup()
+  // is NOT called on the restore path (the restored MemorySystem already
+  // holds the regions), so the list's load branch must rebuild any derived
+  // structures (indices, samplers) from the saved bases itself.
   virtual bool SupportsCheckpoint() const { return false; }
-  virtual void SaveState(StateWriter& w) const { (void)w; }
-  virtual void LoadState(StateReader& r) { (void)r; }
+  virtual void VisitState(StateCodec& c) { (void)c; }
 };
 
 }  // namespace memtis

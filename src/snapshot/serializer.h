@@ -8,8 +8,8 @@
 // read returns a zero value, so callers validate once at the end.
 //
 // Header-only on purpose: every layer of the tree (mem, sim, policies,
-// workloads, audit) implements SaveState/LoadState against these types
-// without growing a new link edge.
+// workloads, audit) lists its state against these types, through the
+// StateCodec of state_codec.h, without growing a new link edge.
 
 #ifndef MEMTIS_SIM_SRC_SNAPSHOT_SERIALIZER_H_
 #define MEMTIS_SIM_SRC_SNAPSHOT_SERIALIZER_H_
@@ -70,6 +70,7 @@ class StateWriter {
  public:
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
+  void U16(uint16_t v) { AppendLe(v); }
   void U32(uint32_t v) { AppendLe(v); }
   void U64(uint64_t v) { AppendLe(v); }
   void I64(int64_t v) { AppendLe(static_cast<uint64_t>(v)); }
@@ -117,6 +118,7 @@ class StateReader {
     return static_cast<uint8_t>(data_[pos_++]);
   }
   bool Bool() { return U8() != 0; }
+  uint16_t U16() { return ReadLe<uint16_t>(); }
   uint32_t U32() { return ReadLe<uint32_t>(); }
   uint64_t U64() { return ReadLe<uint64_t>(); }
   int64_t I64() { return static_cast<int64_t>(U64()); }

@@ -27,7 +27,9 @@
 
 namespace memtis {
 
-inline constexpr uint32_t kSnapshotVersion = 2;
+// 3: payloads walk each component's one state list (state_codec.h); metrics,
+// the audit report and the epoch ring are binary records, not JSON strings.
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 struct SnapshotBlob {
   std::string fingerprint;  // cell identity — must match to restore

@@ -1,6 +1,6 @@
 #include "src/workloads/kv_workloads.h"
 
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 namespace {
@@ -35,26 +35,21 @@ bool SiloWorkload::Step(App& app, Rng& rng) {
   return true;
 }
 
-void SiloWorkload::SaveState(StateWriter& w) const {
-  w.Section(0x53494c4fu);  // "SILO"
-  w.U64(base_);
-  w.U64(populate_cursor_);
-  w.U64(populate_total_);
-}
-
-void SiloWorkload::LoadState(StateReader& r) {
-  r.Section(0x53494c4fu);
-  base_ = r.U64();
-  populate_cursor_ = r.U64();
-  populate_total_ = r.U64();
+void SiloWorkload::VisitState(StateCodec& c) {
+  c.Section(0x53494c4fu);  // "SILO"
+  c.Field("base", base_);
+  c.Field("populate_cursor", populate_cursor_);
+  c.Field("populate_total", populate_total_);
   // The store layout is deterministic from params + base; Setup() is not
   // re-run on restore (the allocation already lives in the restored memory
   // system).
-  const uint64_t blocks = params_.footprint_bytes / kHugePageSize;
-  store_ = std::make_unique<SparseHugeRegion>(
-      base_, blocks, params_.zipf_s, params_.hot_per_block,
-      /*written_per_block=*/static_cast<uint32_t>(kSubpagesPerHuge),
-      params_.stray_prob, params_.seed);
+  if (c.loading()) {
+    const uint64_t blocks = params_.footprint_bytes / kHugePageSize;
+    store_ = std::make_unique<SparseHugeRegion>(
+        base_, blocks, params_.zipf_s, params_.hot_per_block,
+        /*written_per_block=*/static_cast<uint32_t>(kSubpagesPerHuge),
+        params_.stray_prob, params_.seed);
+  }
 }
 
 // --- Btree --------------------------------------------------------------------
@@ -83,21 +78,17 @@ bool BtreeWorkload::Step(App& app, Rng& rng) {
   return true;
 }
 
-void BtreeWorkload::SaveState(StateWriter& w) const {
-  w.Section(0x42545245u);  // "BTRE"
-  w.U64(index_->start());
-  w.U64(populate_cursor_);
-}
-
-void BtreeWorkload::LoadState(StateReader& r) {
-  r.Section(0x42545245u);
-  const Vaddr base = r.U64();
-  populate_cursor_ = r.U64();
-  const uint64_t blocks = params_.footprint_bytes / kHugePageSize;
-  index_ = std::make_unique<SparseHugeRegion>(base, blocks, params_.zipf_s,
-                                              params_.hot_per_block,
-                                              params_.written_per_block,
-                                              params_.stray_prob, params_.seed);
+void BtreeWorkload::VisitState(StateCodec& c) {
+  c.Section(0x42545245u);  // "BTRE"
+  // The index is deterministic from params + its base: only the base is
+  // stored, and a load rebuilds the index from it.
+  c.Mapped("base", [this] { return index_->start(); }, [this](Vaddr base) {
+    const uint64_t blocks = params_.footprint_bytes / kHugePageSize;
+    index_ = std::make_unique<SparseHugeRegion>(
+        base, blocks, params_.zipf_s, params_.hot_per_block,
+        params_.written_per_block, params_.stray_prob, params_.seed);
+  });
+  c.Field("populate_cursor", populate_cursor_);
 }
 
 }  // namespace memtis

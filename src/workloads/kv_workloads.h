@@ -35,8 +35,7 @@ class SiloWorkload : public Workload {
   bool Step(App& app, Rng& rng) override;
 
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
+  void VisitState(StateCodec& c) override;
 
  private:
   Params params_;
@@ -66,8 +65,7 @@ class BtreeWorkload : public Workload {
   bool Step(App& app, Rng& rng) override;
 
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
+  void VisitState(StateCodec& c) override;
 
  private:
   Params params_;

@@ -15,7 +15,7 @@
 #include <memory>
 
 #include "src/sim/workload.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 #include "src/workloads/workload_common.h"
 
 namespace memtis {
@@ -110,29 +110,26 @@ class StreamWorkload : public Workload {
   }
 
   // Checkpointing: region geometry is deterministic from params, so only the
-  // two base addresses and the sweep cursor are serialized; LoadState rebuilds
+  // two base addresses and the sweep cursor are stored; a load rebuilds
   // the scanner and hot region in place of Setup().
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override {
-    w.Section(0x5354524du);  // "STRM"
-    w.U64(sweep_base_);
-    w.U64(hot_->start());
-    sweep_->SaveState(w);
-  }
-  void LoadState(StateReader& r) override {
-    r.Section(0x5354524du);
-    sweep_base_ = r.U64();
-    const Vaddr hot_base = r.U64();
-    uint64_t hot_bytes = static_cast<uint64_t>(
-        static_cast<double>(params_.footprint_bytes) * params_.hot_fraction);
-    hot_bytes = std::max<uint64_t>(hot_bytes, kHugePageSize);
-    const uint64_t sweep_bytes = params_.footprint_bytes - hot_bytes;
-    sweep_ = std::make_unique<SequentialScanner>(
-        sweep_base_, sweep_bytes >> kPageShift, params_.stride_bytes);
-    sweep_->LoadState(r);
-    hot_ = std::make_unique<SkewedRegion>(hot_base, hot_bytes >> kPageShift,
-                                          /*zipf_s=*/1.1, params_.seed,
-                                          /*chunk_pages=*/kSubpagesPerHuge);
+  void VisitState(StateCodec& c) override {
+    c.Section(0x5354524du);  // "STRM"
+    c.Field("sweep_base", sweep_base_);
+    Vaddr hot_base = hot_ != nullptr ? hot_->start() : 0;
+    c.Field("hot_base", hot_base);
+    if (c.loading()) {
+      uint64_t hot_bytes = static_cast<uint64_t>(
+          static_cast<double>(params_.footprint_bytes) * params_.hot_fraction);
+      hot_bytes = std::max<uint64_t>(hot_bytes, kHugePageSize);
+      const uint64_t sweep_bytes = params_.footprint_bytes - hot_bytes;
+      sweep_ = std::make_unique<SequentialScanner>(
+          sweep_base_, sweep_bytes >> kPageShift, params_.stride_bytes);
+      hot_ = std::make_unique<SkewedRegion>(hot_base, hot_bytes >> kPageShift,
+                                            /*zipf_s=*/1.1, params_.seed,
+                                            /*chunk_pages=*/kSubpagesPerHuge);
+    }
+    c.Record("sweep", *sweep_);
   }
 
  private:

@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "src/sim/workload.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 #include "src/workloads/workload_common.h"
 
 namespace memtis {
@@ -59,22 +59,19 @@ class SyntheticWorkload : public Workload {
   const SkewedRegion& region() const { return *region_; }
   Vaddr base() const { return base_; }
 
-  // Checkpointing: Setup() is not re-run on restore — LoadState rebuilds the
-  // region (deterministic from params + base address) and the populate cursor.
+  // Checkpointing: Setup() is not re-run on restore — a load rebuilds the
+  // region (deterministic from params + base address).
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override {
-    w.Section(0x53594e54u);  // "SYNT"
-    w.U64(base_);
-    w.U64(populate_left_);
-  }
-  void LoadState(StateReader& r) override {
-    r.Section(0x53594e54u);
-    base_ = r.U64();
-    populate_left_ = r.U64();
-    const uint64_t pages = params_.footprint_bytes >> kPageShift;
-    region_ = std::make_unique<SkewedRegion>(
-        base_, pages, params_.zipf_s <= 0.0 ? 0.01 : params_.zipf_s,
-        params_.seed, params_.chunk_pages);
+  void VisitState(StateCodec& c) override {
+    c.Section(0x53594e54u);  // "SYNT"
+    c.Field("base", base_);
+    c.Field("populate_left", populate_left_);
+    if (c.loading()) {
+      const uint64_t pages = params_.footprint_bytes >> kPageShift;
+      region_ = std::make_unique<SkewedRegion>(
+          base_, pages, params_.zipf_s <= 0.0 ? 0.01 : params_.zipf_s,
+          params_.seed, params_.chunk_pages);
+    }
   }
 
  private:

@@ -110,14 +110,7 @@ class SequentialScanner {
 
   // Checkpointing: only the cursor is mutable state (the region geometry is
   // reconstructed from the owning workload's params).
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(cursor_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    cursor_ = r.U64();
-  }
+  void VisitState(StateCodec& c) { c.Field("cursor", cursor_); }
 
  private:
   Vaddr start_;

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 namespace {
@@ -263,24 +263,41 @@ TEST(BuddyConsistency, RandomLayoutsMatchThePerFrameWalk) {
   EXPECT_GT(word_edge, 100);
 }
 
-// Minimal snapshot stream for BuddyAllocator::SaveState / LoadState.
-struct BuddyStateImage {
-  std::vector<uint64_t> words;
-  std::vector<uint8_t> state;
-  size_t next = 0;
-  bool failed = false;
-};
-struct BuddyImageWriter {
-  BuddyStateImage* image;
-  void U64(uint64_t v) { image->words.push_back(v); }
-  void Bytes(const uint8_t* data, size_t n) { image->state.assign(data, data + n); }
-};
-struct BuddyImageReader {
-  BuddyStateImage* image;
-  uint64_t U64() { return image->words[image->next++]; }
-  void Bytes(uint8_t* data, size_t n) { std::memcpy(data, image->state.data(), n); }
-  void Fail() { image->failed = true; }
-};
+// BuddyAllocator::VisitState's stream: total_frames and free_frames, one
+// state byte per frame, then per order a count and its frame ids — all words
+// 64-bit little-endian.
+std::string SaveBuddy(BuddyAllocator& buddy) {
+  StateWriter w;
+  StateCodec codec(w);
+  buddy.VisitState(codec);
+  return w.Take();
+}
+
+// Loads `image` into `buddy`; false when the load failed or left bytes over.
+bool LoadBuddy(BuddyAllocator& buddy, const std::string& image) {
+  StateReader r(image);
+  StateCodec codec(r);
+  buddy.VisitState(codec);
+  return r.Done();
+}
+
+// Offset of word k in the image of a `frames`-frame allocator: words 0 and 1
+// precede the state bytes (frame f's at offset 16 + f), the rest follow them.
+size_t WordOffset(uint64_t frames, size_t k) {
+  return k < 2 ? 8 * k : 16 + frames + 8 * (k - 2);
+}
+uint64_t WordAt(const std::string& image, size_t offset) {
+  uint64_t v = 0;
+  for (size_t i = 8; i-- > 0;) {
+    v = v << 8 | static_cast<uint8_t>(image[offset + i]);
+  }
+  return v;
+}
+void SetWordAt(std::string& image, size_t offset, uint64_t v) {
+  for (size_t i = 0; i < 8; ++i, v >>= 8) {
+    image[offset + i] = static_cast<char>(v & 0xFF);
+  }
+}
 
 TEST(BuddyConsistency, StrayHeadsMissingFromTheirListsAreReported) {
   // Stray counts that land in one byte, one word, across words and across
@@ -298,15 +315,11 @@ TEST(BuddyConsistency, StrayHeadsMissingFromTheirListsAreReported) {
     }
     // A snapshot whose state bytes mark allocated frames as order-0 heads
     // that no free list holds: freeing a buddy of one would "merge" with it.
-    BuddyStateImage image;
-    BuddyImageWriter writer{&image};
-    buddy.SaveState(writer);
+    std::string image = SaveBuddy(buddy);
     for (FrameId frame : taken) {
-      image.state[frame] = 1;
+      image[16 + frame] = 1;
     }
-    BuddyImageReader reader{&image};
-    buddy.LoadState(reader);
-    ASSERT_FALSE(image.failed);
+    ASSERT_TRUE(LoadBuddy(buddy, image));
     EXPECT_EQ(Verdict(buddy), std::to_string(listed + strays) +
                                   " frames marked as free-block heads but free "
                                   "lists hold " +
@@ -361,22 +374,17 @@ TEST(BuddySnapshot, RoundTripRestoresListsAndFutureAllocations) {
   }
   ASSERT_GE(nonempty_orders, 4) << "churn left too few orders fragmented";
 
-  StateWriter w;
-  original.SaveState(w);
+  const std::string saved = SaveBuddy(original);
   // total + free + one state byte per frame + per order a count and its ids.
-  EXPECT_EQ(w.data().size(),
+  EXPECT_EQ(saved.size(),
             8 + 8 + kFrames + 8 * (BuddyAllocator::kMaxOrder + 1 + blocks));
   BuddyAllocator restored(kFrames);
-  StateReader r(w.data());
-  restored.LoadState(r);
-  ASSERT_TRUE(r.Done());
+  ASSERT_TRUE(LoadBuddy(restored, saved));
   EXPECT_EQ(restored.FreeBlockCounts(), counts);
   EXPECT_EQ(restored.free_frames(), original.free_frames());
   std::string error;
   EXPECT_TRUE(restored.CheckConsistency(&error)) << error;
-  StateWriter again;
-  restored.SaveState(again);
-  EXPECT_EQ(again.data(), w.data());
+  EXPECT_EQ(SaveBuddy(restored), saved);
 
   // Free-list order survived: the restored allocator and the un-restored
   // twin hand out the same frames from here on.
@@ -396,25 +404,22 @@ TEST(BuddySnapshot, OutOfRangeCountsAndFrameIdsLatchFail) {
   for (int i = 0; i < 3; ++i) {
     buddy.Allocate(0);  // leaves one free order-0 block
   }
-  BuddyStateImage saved;
-  BuddyImageWriter writer{&saved};
-  buddy.SaveState(writer);
+  const std::string saved = SaveBuddy(buddy);
   // words: total_frames, free_frames, then per order a count and its ids.
-  ASSERT_EQ(saved.words[2], 1u);  // order 0 holds one block...
+  ASSERT_EQ(WordAt(saved, WordOffset(kFrames, 2)), 1u);  // order 0 holds one block...
   constexpr size_t kCount = 2;
   constexpr size_t kFirstId = 3;  // ...whose id follows its count
+  constexpr size_t kUnedited = ~size_t{0};
 
   const auto load = [&](size_t word, uint64_t value) {
-    BuddyStateImage image = saved;
-    if (word < image.words.size()) {
-      image.words[word] = value;
+    std::string image = saved;
+    if (word != kUnedited) {
+      SetWordAt(image, WordOffset(kFrames, word), value);
     }
     BuddyAllocator fresh(kFrames);
-    BuddyImageReader reader{&image};
-    fresh.LoadState(reader);
-    return image.failed;
+    return !LoadBuddy(fresh, image);
   };
-  EXPECT_FALSE(load(saved.words.size(), 0)) << "unedited image must load";
+  EXPECT_FALSE(load(kUnedited, 0)) << "unedited image must load";
   // The loader checks before it indexes its links (ASan pins the "before"),
   // so none of these may touch memory past the tier.
   EXPECT_TRUE(load(kCount, kFrames + 1));
@@ -442,7 +447,8 @@ TEST(BuddySnapshot, OutOfRangeCountsAndFrameIdsLatchFail) {
   }
   BuddyAllocator fresh(kFrames);
   StateReader r(w.data());
-  fresh.LoadState(r);
+  StateCodec codec(r);
+  fresh.VisitState(codec);
   EXPECT_FALSE(r.ok());
 }
 

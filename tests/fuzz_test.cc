@@ -26,10 +26,12 @@
 #include "src/memtis/memtis_policy.h"
 #include "src/memtis/policy_registry.h"
 #include "src/runner/job_codec.h"
+#include "src/runner/checkpoint_runner.h"
 #include "src/runner/manifest.h"
 #include "src/runner/supervisor.h"
 #include "src/runner/sweep.h"
 #include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 #include "src/snapshot/snapshot_file.h"
 #include "src/workloads/registry.h"
 #include "tests/socket_campaign.h"
@@ -769,6 +771,16 @@ std::string EncodeRecord(const R& record) {
   return out;
 }
 
+// The record's binary encoding through the snapshot codec
+// (src/snapshot/state_codec.h), which walks the same field list.
+template <class R>
+std::string EncodeState(R record) {
+  StateWriter w;
+  StateCodec codec(w);
+  codec.Record("record", record);
+  return w.Take();
+}
+
 struct CodecCase {
   std::string name;
   std::string bytes;
@@ -776,11 +788,16 @@ struct CodecCase {
   std::function<bool(const JsonValue&, std::string*)> reencode;
   // Keys of conditional blocks the filled record must have written.
   std::vector<std::string> blocks;
+  // The record through the snapshot codec: its binary encoding, and the
+  // binary and JSON encodings of what that decodes to.
+  std::string binary;
+  std::function<bool(std::string* binary, std::string* json)> state_reencode;
 };
 
 template <class R>
 CodecCase MakeCase(std::string name, const R& record,
                    std::vector<std::string> blocks = {}) {
+  const std::string binary = EncodeState(record);
   return CodecCase{std::move(name), EncodeRecord(record),
                    [](const JsonValue& v, std::string* out) {
                      R back;
@@ -788,7 +805,17 @@ CodecCase MakeCase(std::string name, const R& record,
                      *out = EncodeRecord(back);
                      return true;
                    },
-                   std::move(blocks)};
+                   std::move(blocks), binary,
+                   [binary](std::string* binary_out, std::string* json_out) {
+                     R back;
+                     StateReader r(binary);
+                     StateCodec codec(r);
+                     codec.Record("record", back);
+                     if (!r.Done()) return false;
+                     *binary_out = EncodeState(back);
+                     *json_out = EncodeRecord(back);
+                     return true;
+                   }};
 }
 
 TEST(Codec, EveryRecordRoundTripsByteIdentically) {
@@ -829,6 +856,14 @@ TEST(Codec, EveryRecordRoundTripsByteIdentically) {
     std::string again;
     ASSERT_TRUE(c.reencode(doc, &again)) << c.name << ": " << c.bytes;
     EXPECT_EQ(again, c.bytes) << c.name;
+
+    // The snapshot codec round-trips it too: byte-identical binary, and the
+    // same JSON (every WriteIf block, every double bit for bit) after.
+    std::string binary_again;
+    std::string json_again;
+    ASSERT_TRUE(c.state_reencode(&binary_again, &json_again)) << c.name;
+    EXPECT_EQ(binary_again, c.binary) << c.name;
+    EXPECT_EQ(json_again, c.bytes) << c.name;
   }
 }
 
@@ -948,7 +983,7 @@ TEST(Codec, AbsentFieldsTakeTheirDefaults) {
 
   ASSERT_TRUE(JsonValue::Parse("{\"memtis\":true}", &doc));
   EpochSample sample;
-  ASSERT_TRUE(EpochSample::FromJson(doc, &sample));
+  ASSERT_TRUE(DecodeJson(doc, &sample));
   EXPECT_EQ(sample.hot_bin, -1);
   EXPECT_EQ(sample.cold_bin, -1);
 
@@ -1124,6 +1159,84 @@ TEST(Fuzz, SnapshotStoreFallsBackFromFuzzedSlotDamage) {
     SnapshotBlob fallback;
     ASSERT_TRUE(reader.LoadNewest("fp", 0, &fallback)) << "trial " << trial;
     EXPECT_EQ(fallback.payload, "older-good");
+  }
+}
+
+// The payload loader behind the envelope. A CRC proves a file was written
+// whole, not that it was written by this build's writer: whatever payload it
+// holds, RestoreFromPayload must refuse a torn one and never crash on a
+// corrupted one. Real payloads, from cells that exercise every section:
+// the storm preset, the auditor and 1 ms epochs.
+struct PayloadCell {
+  std::unique_ptr<Workload> workload;
+  std::unique_ptr<TieringPolicy> policy;
+  std::unique_ptr<AuditSession> audit;
+  std::unique_ptr<Engine> engine;
+
+  explicit PayloadCell(const std::string& system)
+      : workload(MakeWorkload("btree", 0.05)) {
+    const uint64_t footprint = workload->footprint_bytes();
+    policy = MakePolicy(system, footprint, footprint / 9);
+    EngineOptions opts;
+    opts.max_accesses = 60'000;
+    std::string error;
+    EXPECT_TRUE(FaultPlan::Parse("storm", &opts.faults, &error)) << error;
+    AuditSessionOptions audit_opts;
+    audit_opts.epochs.interval_ns = 1'000'000;
+    audit = std::make_unique<AuditSession>(audit_opts);
+    opts.audit = audit.get();
+    engine = std::make_unique<Engine>(MachineFor(*workload, 1.0 / 9.0),
+                                      *policy, opts);
+  }
+
+  bool Restore(const std::string& payload) {
+    return RestoreFromPayload(payload, *engine, *policy, *workload, audit.get());
+  }
+};
+
+// The cell's last mid-run snapshot payload.
+std::string MidRunPayload(const std::string& system) {
+  PayloadCell cell(system);
+  std::string payload;
+  cell.engine->EnableCheckpoints(200'000, [&] {
+    payload = BuildSnapshotPayload(*cell.engine, *cell.policy, *cell.workload,
+                                   cell.audit.get());
+  });
+  cell.engine->Run(*cell.workload);
+  return payload;
+}
+
+TEST(Fuzz, SnapshotPayloadPrefixesAreRefused) {
+  std::mt19937_64 rng(20261020);
+  for (const std::string system : {"memtis", "hemem"}) {
+    const std::string payload = MidRunPayload(system);
+    ASSERT_GT(payload.size(), 1000u) << system;
+    ASSERT_TRUE(PayloadCell(system).Restore(payload)) << system;
+    std::vector<size_t> cuts = {0, 1, payload.size() / 2, payload.size() - 1};
+    for (int i = 0; i < 40; ++i) {
+      cuts.push_back(rng() % payload.size());
+    }
+    for (const size_t cut : cuts) {
+      EXPECT_FALSE(PayloadCell(system).Restore(payload.substr(0, cut)))
+          << system << ": prefix " << cut << "/" << payload.size();
+    }
+  }
+}
+
+TEST(Fuzz, SnapshotPayloadMutationsNeverCrash) {
+  std::mt19937_64 rng(20261021);
+  for (const std::string system : {"memtis", "hemem"}) {
+    const std::string payload = MidRunPayload(system);
+    int refused = 0;
+    for (int trial = 0; trial < 256; ++trial) {
+      std::string mutated = payload;
+      const size_t pos = rng() % mutated.size();
+      mutated[pos] = static_cast<char>(mutated[pos] ^ (1 + rng() % 255));
+      // Either outcome is fine; reaching the next trial is the property.
+      refused += PayloadCell(system).Restore(mutated) ? 0 : 1;
+    }
+    // Section tags, counts, checks and trailing bytes catch some of them.
+    EXPECT_GT(refused, 0) << system;
   }
 }
 

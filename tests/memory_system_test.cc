@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/snapshot/serializer.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 namespace {
@@ -250,10 +250,12 @@ TEST(MemorySystem, HugePageBitsetsRoundTripThroughASnapshot) {
   ASSERT_EQ(written.count(), 4u);
 
   StateWriter w;
-  mem.SaveState(w);
+  StateCodec save(w);
+  mem.VisitState(save);
   MemorySystem restored(SmallConfig());
   StateReader r(w.data());
-  restored.LoadState(r);
+  StateCodec load(r);
+  restored.VisitState(load);
   ASSERT_TRUE(r.Done());
   const PageInfo& copy = restored.page(restored.Lookup(VpnOf(start)));
   ASSERT_NE(copy.huge, nullptr);
@@ -300,6 +302,98 @@ TEST(CountSubpages, MatchesBitsetCount) {
     }
     ASSERT_EQ(CountSubpages(random), random.count()) << "trial " << trial;
   }
+}
+
+// --- Snapshot loads reject indices out of range ------------------------------
+
+// Little-endian fields of a saved image, patched in place.
+uint64_t ReadLe(const std::string& image, size_t offset, size_t bytes) {
+  uint64_t v = 0;
+  for (size_t i = bytes; i-- > 0;) {
+    v = v << 8 | static_cast<uint8_t>(image[offset + i]);
+  }
+  return v;
+}
+void WriteLe(std::string& image, size_t offset, size_t bytes, uint64_t v) {
+  for (size_t i = 0; i < bytes; ++i, v >>= 8) {
+    image[offset + i] = static_cast<char>(v & 0xFF);
+  }
+}
+
+// A payload is CRC-checked, not trusted: every value a later lookup indexes
+// with must be rejected by the load itself, as the buddy allocator's counts
+// and frame ids are (BuddySnapshot.OutOfRangeCountsAndFrameIdsLatchFail).
+TEST(MemorySystemSnapshot, OutOfRangeIndicesLatchFail) {
+  MemorySystem mem(SmallConfig());
+  const Vaddr freed = mem.AllocateRegion(kHugePageSize, AllocOptions{});
+  const Vaddr kept = mem.AllocateRegion(kHugePageSize, AllocOptions{});
+  mem.FreeRegion(freed);  // slot 0 dead and on the free list, slot 1 live
+  ASSERT_EQ(mem.Lookup(VpnOf(kept)), 1u);
+  const PageInfo& page = mem.page(1);
+  ASSERT_EQ(page.kind(), PageKind::kHuge);
+  const uint64_t tier_frames = mem.tier(page.tier()).allocator().total_frames();
+
+  StateWriter w;
+  StateCodec save(w);
+  mem.VisitState(save);
+  const std::string saved = w.Take();
+
+  // The layout (MemorySystem::VisitState): a section tag, each tier's buddy
+  // image, the slots, the free slots, the page table, eleven counter words,
+  // the regions, ..., the tenants, and the current tenant last.
+  size_t offset = 4;
+  for (TierId id : {TierId::kFast, TierId::kCapacity}) {
+    const BuddyAllocator& buddy = mem.tier(id).allocator();
+    uint64_t blocks = 0;
+    for (uint64_t n : buddy.FreeBlockCounts()) blocks += n;
+    offset += 16 + buddy.total_frames() +
+              8 * (BuddyAllocator::kMaxOrder + 1 + blocks);
+  }
+  ASSERT_EQ(ReadLe(saved, offset, 8), 2u) << "slot count";
+  // Slot 0 is a generation and a dead flag; slot 1 starts 8 + 5 bytes in.
+  const size_t slot = offset + 8 + 5;
+  const size_t tenant = slot + 13;  // after generation, live, base_vpn
+  const size_t kind = slot + 47;
+  const size_t tier = slot + 48;
+  const size_t frame = slot + 49;
+  const size_t free_slots = slot + 66 + 2180;  // past the huge page's meta
+  ASSERT_EQ(ReadLe(saved, free_slots, 8), 1u) << "free slot count";
+  const size_t page_table = free_slots + 8 + 4;
+  const size_t entry = page_table + 8 + 4 * VpnOf(kept);
+  const size_t regions = page_table + 8 + 4 * ReadLe(saved, page_table, 8) + 88;
+  ASSERT_EQ(ReadLe(saved, regions, 8), 1u) << "region count";
+  const size_t region_tenant = regions + 8 + 24;
+  const size_t current_tenant = saved.size() - 2;
+  ASSERT_EQ(ReadLe(saved, kind, 1), 1u);
+  ASSERT_EQ(ReadLe(saved, tier, 1), static_cast<uint64_t>(page.tier()));
+  ASSERT_EQ(ReadLe(saved, frame, 8), page.frame());
+  ASSERT_EQ(ReadLe(saved, free_slots + 8, 4), 0u);
+  ASSERT_EQ(ReadLe(saved, entry, 4), 1u);
+  ASSERT_EQ(ReadLe(saved, region_tenant, 2), 0u);
+
+  constexpr size_t kUnedited = ~size_t{0};
+  const auto load = [&](size_t at, size_t bytes, uint64_t value) {
+    std::string image = saved;
+    if (at != kUnedited) {
+      WriteLe(image, at, bytes, value);
+    }
+    MemorySystem fresh(SmallConfig());
+    StateReader r(image);
+    StateCodec codec(r);
+    fresh.VisitState(codec);
+    return !r.Done();
+  };
+  EXPECT_FALSE(load(kUnedited, 0, 0)) << "unedited image must load";
+  EXPECT_TRUE(load(kind, 1, 2));                  // no such PageKind
+  EXPECT_TRUE(load(tier, 1, kNumTiers));          // tiers_[2]
+  EXPECT_TRUE(load(tenant, 2, 1));                // one tenant registered
+  EXPECT_TRUE(load(frame, 8, tier_frames));       // past the tier
+  EXPECT_TRUE(load(frame, 8, tier_frames - 1));   // the huge page overruns it
+  EXPECT_TRUE(load(frame, 8, ~0ULL));
+  EXPECT_TRUE(load(free_slots + 8, 4, 2));        // pages_[2] of two slots
+  EXPECT_TRUE(load(entry, 4, 2));                 // Lookup would return 2
+  EXPECT_TRUE(load(region_tenant, 2, 1));
+  EXPECT_TRUE(load(current_tenant, 2, 1));
 }
 
 }  // namespace

@@ -158,8 +158,7 @@ class CountingPolicy : public TieringPolicy {
     return inner_->Classify(ctx);
   }
   bool SupportsCheckpoint() const override { return inner_->SupportsCheckpoint(); }
-  void SaveState(StateWriter& w) const override { inner_->SaveState(w); }
-  void LoadState(StateReader& r) override { inner_->LoadState(r); }
+  void VisitState(StateCodec& c) override { inner_->VisitState(c); }
 
  private:
   std::unique_ptr<TieringPolicy> inner_;

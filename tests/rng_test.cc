@@ -148,13 +148,16 @@ uint64_t ReferenceSample(const ZipfSampler& zipf, Rng& rng) {
   }
 }
 
-std::vector<uint64_t> StateWords(const Rng& rng) {
-  struct Words {
-    std::vector<uint64_t> words;
-    void U64(uint64_t word) { words.push_back(word); }
-  } out;
-  rng.SaveState(out);
-  return out.words;
+std::vector<uint64_t> StateWords(Rng rng) {
+  StateWriter out;
+  StateCodec codec(out);
+  rng.VisitState(codec);
+  StateReader in(out.data());
+  std::vector<uint64_t> words;
+  while (in.remaining() > 0) {
+    words.push_back(in.U64());
+  }
+  return words;
 }
 
 using ZipfShape = std::tuple<uint64_t, double>;

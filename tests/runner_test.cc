@@ -541,17 +541,31 @@ TEST(Manifest, ToleratesTruncatedTailAndDeduplicatesLastWins) {
     writer.Append(JobFingerprint(spec_a), spec_a, ok_a_retried);
     writer.Close();
   }
-  {  // Simulate a SIGKILL mid-append: a torn, unterminated final record.
+  {
     std::ofstream tail(path, std::ios::app);
+    // A line from an older writer, which also wrote a "spec" projection of
+    // the cell: unknown keys are ignored, so it still loads.
+    tail << "{\"v\":1,\"fingerprint\":\"legacy\",\"cell\":\"legacy-cell\","
+            "\"spec\":{\"system\":\"hemem\",\"benchmark\":\"btree\","
+            "\"machine\":\"nvm\",\"fast_ratio\":0.25,\"base_seed\":1,"
+            "\"seed_index\":0,\"engine_seed\":2},\"ok\":false,\"attempts\":2,"
+            "\"failure\":{\"kind\":\"crash\",\"signal\":11}}\n";
+    // Simulate a SIGKILL mid-append: a torn, unterminated final record.
     tail << "{\"v\":1,\"fingerprint\":\"dead";
   }
 
   std::map<std::string, ManifestEntry> entries;
   ManifestLoadStats stats;
   ASSERT_TRUE(LoadManifest(path, &entries, &stats));
-  EXPECT_EQ(stats.lines_total, 4u);
+  EXPECT_EQ(stats.lines_total, 5u);
   EXPECT_EQ(stats.lines_skipped, 1u);
-  ASSERT_EQ(entries.size(), 2u);
+  ASSERT_EQ(entries.size(), 3u);
+
+  const ManifestEntry& legacy = entries.at("legacy");
+  EXPECT_FALSE(legacy.ok);
+  EXPECT_EQ(legacy.attempts, 2);
+  EXPECT_EQ(legacy.failure.kind, FailureKind::kCrash);
+  EXPECT_EQ(legacy.failure.signal, 11);
 
   const ManifestEntry& a = entries.at(JobFingerprint(spec_a));
   EXPECT_TRUE(a.ok);
@@ -576,9 +590,9 @@ TEST(Manifest, ToleratesTruncatedTailAndDeduplicatesLastWins) {
   }
   std::map<std::string, ManifestEntry> resumed;
   ASSERT_TRUE(LoadManifest(path, &resumed, &stats));
-  EXPECT_EQ(stats.lines_total, 5u);
+  EXPECT_EQ(stats.lines_total, 6u);
   EXPECT_EQ(stats.lines_skipped, 1u);
-  ASSERT_EQ(resumed.size(), 2u);
+  ASSERT_EQ(resumed.size(), 3u);
   EXPECT_TRUE(resumed.at(JobFingerprint(spec_b)).ok);
   EXPECT_EQ(resumed.at(JobFingerprint(spec_b)).attempts, 3);
   std::remove(path.c_str());

@@ -248,18 +248,28 @@ TEST(SnapshotFile, RejectsEveryCorruptionClass) {
   // build, not random damage. Bump the version field (bytes 4..7,
   // little-endian) and recompute the trailing CRC so only the version check
   // can reject it.
-  bad = image;
-  bad[4] = static_cast<char>(bad[4] + 1);
-  {
-    const uint32_t crc =
-        Crc32(std::string_view(bad.data(), bad.size() - 4));
+  const auto with_version = [&](uint32_t version) {
+    std::string skewed = image;
     for (int i = 0; i < 4; ++i) {
-      bad[bad.size() - 4 + static_cast<size_t>(i)] =
+      skewed[4 + static_cast<size_t>(i)] =
+          static_cast<char>((version >> (8 * i)) & 0xFF);
+    }
+    const uint32_t crc =
+        Crc32(std::string_view(skewed.data(), skewed.size() - 4));
+    for (int i = 0; i < 4; ++i) {
+      skewed[skewed.size() - 4 + static_cast<size_t>(i)] =
           static_cast<char>((crc >> (8 * i)) & 0xFF);
     }
-  }
-  EXPECT_FALSE(DecodeSnapshot(bad, &out, &error));
+    return skewed;
+  };
+  EXPECT_FALSE(DecodeSnapshot(with_version(kSnapshotVersion + 1), &out, &error));
   EXPECT_NE(error.find("version"), std::string::npos) << error;
+  // A file of the previous layout (version 2 embedded JSON strings) is
+  // rejected the same way: there is no in-place migration.
+  ASSERT_EQ(kSnapshotVersion, 3u);
+  error.clear();
+  EXPECT_FALSE(DecodeSnapshot(with_version(2), &out, &error));
+  EXPECT_NE(error.find("version skew"), std::string::npos) << error;
 
   // Torn tail: every strict prefix must be rejected (sampled for speed).
   for (size_t len = 0; len < image.size(); len += 97) {
