@@ -131,15 +131,17 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" \
 echo "distributed chaos pass: clean"
 echo "== ninth pass: checkpoint kill-storm under ASan/UBSan =="
 # The snapshot plane end to end in the sanitized build: serializer/envelope
-# units, the kill-anywhere differentials (supervised local and the 4-worker
-# socket campaign, storm + auditor included), the snapshot-loader corruption
-# fuzzers, and the real-SIGKILL smoke script — so every snapshot write,
+# units, the kill-anywhere differentials (every registered policy on btree
+# and memtis on every paper workload, in process and supervised; the 4-worker
+# socket campaign; storm + auditor), the snapshot-loader corruption fuzzers,
+# and the real-SIGKILL smoke script — so every snapshot write,
 # restore, quarantine, and resumed fork path is leak- and UB-checked. The
 # buddy allocator's and the memory system's snapshot cases run here too:
 # their loaders must reject frame ids, slot ids, page-table entries and tenant
 # ids read from the payload before anything indexes with them. The
 # Fuzz.Snapshot* filter includes the payload fuzzers (torn and mutated real
-# payloads through RestoreFromPayload).
+# payloads through RestoreFromPayload, a moved region base among them; each
+# accepted payload runs to its end in a forked child).
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" \
     -R '(Serializer\.|SnapshotFile\.|SnapshotStore\.|Checkpoint\.|BuddySnapshot\.|MemorySystemSnapshot\.|smoke_checkpoint)'
 "$BUILD_DIR/tests/fuzz_test" --gtest_filter='Fuzz.Snapshot*'

@@ -12,7 +12,11 @@
 #   4. the same kill/resume under --faults=storm with the invariant auditor
 #      on (MEMTIS_AUDIT=1) and an --audit-json sink: result AND audit
 #      document both byte-identical to their uninterrupted twins;
-#   5. distributed: a --serve=0 socket campaign with --checkpoint-ns and four
+#   5. the same kill/resume on the policies and workloads whose snapshots
+#      are the newest (scan- and hint-fault-driven baselines; pagerank's
+#      sweep, 603.bwaves's free/alloc churn), against the supervised run
+#      without checkpoints;
+#   6. distributed: a --serve=0 socket campaign with --checkpoint-ns and four
 #      workers sharing a snapshot directory — every child self-SIGKILLs after
 #      its first snapshot, and one worker is additionally kill -9'd while
 #      holding a lease so a peer resumes its cell — merged output
@@ -77,6 +81,24 @@ cmp -s "$STORM_REF" "$STORM_OUT" \
   || fail "storm kill/resume result differs"
 cmp -s "$STORM_REF_AUDIT" "$STORM_AUDIT" \
   || fail "storm kill/resume audit document differs"
+
+# --- kill/resume across the scan/hint-fault baselines and two workloads --
+# 70k accesses: past 603.bwaves's 60k-access churn, so later snapshots hold
+# a transient buffer that was freed and allocated again.
+SPREAD=(--systems=nimble,tpp,tiering-0.8,multi-clock
+        --benchmarks=pagerank,603.bwaves --accesses=70000 --quiet --supervise)
+SPREAD_REF="$WORK/spread_ref.json"
+"$MEMTIS_RUN" "${SPREAD[@]}" --out="$SPREAD_REF" \
+  || fail "baseline-spread reference failed"
+SPREAD_OUT="$WORK/spread.json"
+MEMTIS_KILL_AFTER_CHECKPOINTS=1 \
+  "$MEMTIS_RUN" "${SPREAD[@]}" --checkpoint-ns="$CKPT_NS" \
+  --checkpoint-dir="$WORK/ckpt-spread" --out="$SPREAD_OUT" \
+  || fail "baseline-spread kill/resume sweep failed"
+cmp -s "$SPREAD_REF" "$SPREAD_OUT" \
+  || fail "baseline-spread kill/resume differs from uninterrupted reference"
+ls "$WORK/ckpt-spread"/*.s[01] >/dev/null 2>&1 \
+  || fail "baseline-spread kill/resume left no snapshot files"
 
 # --- distributed: 4 workers, self-SIGKILLs + one worker kill -9'd --------
 DIST_OUT="$WORK/dist.json"

@@ -141,7 +141,6 @@ class MemtisPolicy : public TieringPolicy {
   // hybrid scanner, and run statistics. Init() must run before a load
   // (re-attaches the sampler's fault injector; the load then overwrites the
   // thresholds Init reset).
-  bool SupportsCheckpoint() const override { return true; }
   void VisitState(StateCodec& c) override;
 
  private:

@@ -61,7 +61,6 @@ class AutoNumaPolicy : public TieringPolicy {
     arm_.ArmBatch(ctx);
   }
 
-  bool SupportsCheckpoint() const override { return true; }
   void VisitState(StateCodec& c) override {
     c.Section(0x414e554du);  // "ANUM"
     c.Record("arm", arm_);

@@ -64,7 +64,6 @@ class AutoTieringPolicy : public TieringPolicy {
         .use_thp = use_thp};
   }
 
-  bool SupportsCheckpoint() const override { return true; }
   void VisitState(StateCodec& c) override {
     c.Section(0x4154524eu);  // "ATRN"
     c.Record("arm", arm_);

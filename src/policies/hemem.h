@@ -87,7 +87,6 @@ class HeMemPolicy : public TieringPolicy {
   // Checkpointing. Init() (sampler fault re-attach) must run before a load;
   // per-page sample counts live in the page policy words listed with the
   // memory system.
-  bool SupportsCheckpoint() const override { return true; }
   void VisitState(StateCodec& c) override {
     c.Section(0x48454d4du);  // "HEMM"
     c.Record("sampler", sampler_);

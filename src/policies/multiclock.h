@@ -52,6 +52,12 @@ class MultiClockPolicy : public TieringPolicy {
 
   void Tick(PolicyContext& ctx) override;
 
+  void VisitState(StateCodec& c) override {
+    c.Section(0x4d434c4bu);  // "MCLK"
+    c.Record("scanner", scanner_);
+    c.Field("next_scan_ns", next_scan_ns_);
+  }
+
  private:
   Params params_;
   PtScanner scanner_;

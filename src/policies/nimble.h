@@ -59,6 +59,14 @@ class NimblePolicy : public TieringPolicy {
 
   ClassifiedSizes Classify(PolicyContext& ctx) override;
 
+  void VisitState(StateCodec& c) override {
+    c.Section(0x4e4d424cu);  // "NMBL"
+    c.Record("scanner", scanner_);
+    c.Field("next_scan_ns", next_scan_ns_);
+    c.Field("last_hot_bytes", last_hot_bytes_);
+    c.Field("last_cold_bytes", last_cold_bytes_);
+  }
+
  private:
   Params params_;
   PtScanner scanner_;

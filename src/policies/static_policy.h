@@ -44,7 +44,6 @@ class StaticPolicy : public TieringPolicy {
   }
 
   // Stateless: the section marker alone keeps the snapshot layout checked.
-  bool SupportsCheckpoint() const override { return true; }
   void VisitState(StateCodec& c) override { c.Section(0x53544154u); }
 
  private:

@@ -53,6 +53,16 @@ class Tiering08Policy : public TieringPolicy {
 
   void Tick(PolicyContext& ctx) override;
 
+  void VisitState(StateCodec& c) override {
+    c.Section(0x54493038u);  // "TI08"
+    c.Record("arm", arm_);
+    c.Field("next_scan_ns", next_scan_ns_);
+    c.Field("window_start_ns", window_start_ns_);
+    c.Field("window_promoted", window_promoted_);
+    c.Field("admit_ratio", admit_ratio_);
+    c.Field("demote_cursor", demote_cursor_);
+  }
+
  private:
   static constexpr uint64_t kArmedBit = 1;
   static constexpr uint64_t kReferencedBit = 2;

@@ -61,6 +61,14 @@ class TppPolicy : public TieringPolicy {
 
   ClassifiedSizes Classify(PolicyContext& ctx) override;
 
+  void VisitState(StateCodec& c) override {
+    c.Section(0x54505050u);  // "TPPP"
+    c.Record("arm", arm_);
+    c.Record("limiter", limiter_);
+    c.Field("next_scan_ns", next_scan_ns_);
+    c.Field("demote_cursor", demote_cursor_);
+  }
+
  private:
   static constexpr uint64_t kArmedBit = 1;
   static constexpr uint64_t kReferencedBit = 2;

@@ -6,70 +6,12 @@
 
 #include "src/audit/audit_session.h"
 #include "src/common/check.h"
-#include "src/memtis/policy_registry.h"
-#include "src/policies/hemem.h"
 #include "src/sim/engine.h"
 #include "src/snapshot/state_codec.h"
 #include "src/snapshot/snapshot_file.h"
-#include "src/workloads/registry.h"
 
 namespace memtis {
 namespace {
-
-struct Cell {
-  std::unique_ptr<Workload> workload;
-  std::unique_ptr<TieringPolicy> policy;
-  std::unique_ptr<AuditSession> audit;
-  std::unique_ptr<Engine> engine;
-  uint64_t footprint = 0;
-  uint64_t fast = 0;
-};
-
-// Builds workload, policy, audit session, and engine exactly the way
-// RunJob() does (src/runner/sweep.cc) — any divergence here would break the
-// checkpointed-equals-plain byte-identity bar.
-Cell BuildCell(const JobSpec& spec) {
-  Cell cell;
-  const double footprint_scale =
-      spec.footprint_scale > 0.0 ? spec.footprint_scale : BenchFootprintScale();
-  cell.workload =
-      MakeWorkload(spec.benchmark, footprint_scale, spec.workload_seed_offset());
-  cell.footprint = cell.workload->footprint_bytes();
-  cell.fast = spec.fast_bytes_override != 0
-                  ? spec.fast_bytes_override
-                  : static_cast<uint64_t>(static_cast<double>(cell.footprint) *
-                                          spec.fast_ratio);
-  const uint64_t capacity = cell.footprint + cell.footprint / 2;
-  cell.policy = MakePolicy(spec.system, cell.footprint, cell.fast);
-
-  const MachineConfig machine = spec.cxl
-                                    ? MakeCxlMachine(cell.fast, capacity)
-                                    : MakeNvmMachine(cell.fast, capacity);
-  EngineOptions opts;
-  opts.max_accesses = spec.accesses != 0 ? spec.accesses : DefaultAccesses();
-  opts.snapshot_interval_ns = spec.snapshot_interval_ns;
-  opts.cpu_contention = spec.cpu_contention;
-  opts.seed = spec.engine_seed;
-  if (!spec.faults.empty()) {
-    std::string fault_error;
-    SIM_CHECK(FaultPlan::Parse(spec.faults, &opts.faults, &fault_error) &&
-              "bad JobSpec::faults spec (validate at the CLI)");
-  }
-
-  if (spec.audit) {
-    AuditSessionOptions audit_opts;
-    audit_opts.record_epochs = spec.audit_epoch_interval_ns != 0;
-    audit_opts.epochs.interval_ns =
-        spec.audit_epoch_interval_ns != 0 ? spec.audit_epoch_interval_ns
-                                          : audit_opts.epochs.interval_ns;
-    cell.audit = std::make_unique<AuditSession>(audit_opts);
-  } else {
-    cell.audit = MakeEnvAuditSession();
-  }
-  opts.audit = cell.audit.get();
-  cell.engine = std::make_unique<Engine>(machine, *cell.policy, opts);
-  return cell;
-}
 
 // The payload's one list: the engine section embeds the full MemorySystem;
 // policy and workload follow; the audit session closes the stream
@@ -81,6 +23,13 @@ void VisitCell(StateCodec& c, Engine& engine, TieringPolicy& policy,
     if (!c.ok()) {
       return;  // Init must not see a half-restored engine
     }
+    // Workload regions must be live regions of the restored address space:
+    // the workload list cannot see it, so the load hands it over here.
+    c.CheckRegionsWith([&mem = engine.mem()](uint64_t base, uint64_t bytes) {
+      const auto region = mem.RegionAt(base);
+      return region.has_value() && (region->first << kPageShift) == base &&
+             (region->second << kPageShift) >= bytes;
+    });
     // Policies re-attach engine-owned resources (the sampler's fault
     // injector) in Init(); the load then overwrites whatever Init reset.
     policy.Init(engine.ctx());
@@ -114,7 +63,14 @@ bool RestoreFromPayload(const std::string& payload, Engine& engine,
   StateReader r(payload);
   StateCodec c(r);
   VisitCell(c, engine, policy, workload, audit);
-  return r.Done();
+  if (!r.Done()) {
+    return false;
+  }
+  // Every list accepted its part; one full census on an auditor of its own
+  // (the cell's audit counters stay untouched) checks the parts agree.
+  InvariantAuditor census;
+  census.AuditNow(engine, /*include_expensive=*/true);
+  return census.report().violations_total == 0;
 }
 
 bool CheckpointSupported(const JobSpec& spec, std::string* why) {
@@ -128,21 +84,6 @@ bool CheckpointSupported(const JobSpec& spec, std::string* why) {
   if (spec.memtis_tweak != nullptr) {
     if (why != nullptr) {
       *why = "opaque memtis_tweak hook is not representable in a snapshot";
-    }
-    return false;
-  }
-  // Probe SupportsCheckpoint on throwaway instances; sizes are irrelevant.
-  const auto policy = MakePolicy(spec.system, 64ull << 20, 16ull << 20);
-  if (!policy->SupportsCheckpoint()) {
-    if (why != nullptr) {
-      *why = "policy '" + spec.system + "' does not support checkpointing";
-    }
-    return false;
-  }
-  const auto workload = MakeWorkload(spec.benchmark);
-  if (!workload->SupportsCheckpoint()) {
-    if (why != nullptr) {
-      *why = "benchmark '" + spec.benchmark + "' does not support checkpointing";
     }
     return false;
   }
@@ -169,7 +110,7 @@ JobResult RunJobCheckpointed(const JobSpec& spec, const CheckpointContext& ctx) 
   }
 
   // Pass 0 tries to resume from the decoded snapshot; a payload that fails
-  // component-level validation falls through to pass 1, which always starts
+  // RestoreFromPayload's checks falls through to pass 1, which always starts
   // clean. Fresh objects are built per pass — a half-restored engine is
   // never run.
   for (int pass = 0; pass < 2; ++pass) {
@@ -189,7 +130,7 @@ JobResult RunJobCheckpointed(const JobSpec& spec, const CheckpointContext& ctx) 
 
     uint64_t snapshots_written = 0;
     Engine& engine = *cell.engine;
-    cell.engine->EnableCheckpoints(ctx.interval_ns, [&] {
+    engine.EnableCheckpoints(ctx.interval_ns, [&] {
       const std::string snap = BuildSnapshotPayload(
           engine, *cell.policy, *cell.workload, cell.audit.get());
       std::string error;
@@ -203,32 +144,7 @@ JobResult RunJobCheckpointed(const JobSpec& spec, const CheckpointContext& ctx) 
       }
     });
 
-    JobResult out;
-    out.metrics = engine.Run(*cell.workload);
-    if (spec.audit) {
-      out.audited = true;
-      out.audit_report = cell.audit->report();
-      if (const EpochRecorder* recorder = cell.audit->recorder()) {
-        out.epoch_interval_ns = recorder->options().interval_ns;
-        out.epochs_recorded_total = recorder->recorded_total();
-        out.epochs = recorder->samples();
-      }
-    }
-    out.footprint_bytes = cell.footprint;
-    out.fast_bytes = cell.fast;
-    if (auto* memtis = dynamic_cast<MemtisPolicy*>(cell.policy.get())) {
-      out.is_memtis = true;
-      out.memtis_stats = memtis->stats();
-      out.mean_ehr = memtis->mean_ehr();
-      out.sampler_cpu =
-          out.metrics.cpu.core_share(DaemonKind::kSampler, out.metrics.app_ns);
-      out.pebs_load_period = memtis->sampler().period(SampleType::kLlcLoadMiss);
-      out.pebs_store_period = memtis->sampler().period(SampleType::kStore);
-    }
-    if (auto* hemem = dynamic_cast<HeMemPolicy*>(cell.policy.get())) {
-      out.hemem_overalloc_bytes = hemem->over_allocated_bytes();
-    }
-    return out;
+    return CollectResult(spec, cell, engine.Run(*cell.workload));
   }
   SIM_CHECK(false && "unreachable: pass 1 never resumes");
   return JobResult{};

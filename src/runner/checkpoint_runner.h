@@ -8,22 +8,23 @@
 //    observation-only. A run that is SIGKILLed at ANY point and restarted
 //    restores from the newest valid snapshot and finishes with byte-identical
 //    metrics, audit document, and sink bytes (tests/snapshot_test.cc).
-//  - Coverage. Checkpointing is opt-in per policy/workload via the
-//    SupportsCheckpoint/VisitState hooks: each component lists its state
-//    once, and the same list saves and loads (src/snapshot/state_codec.h).
-//    CheckpointSupported(spec)
-//    reports up front whether a cell can checkpoint; unsupported cells refuse
-//    with a structured kInvalidSpec failure instead of writing snapshots that
-//    could not restore faithfully.
+//  - Coverage. Every policy MakePolicy builds and every workload MakeWorkload
+//    builds lists its state once in VisitState, and the same list saves and
+//    loads (src/snapshot/state_codec.h); the cell is built by the same
+//    BuildCell as RunJob's (src/runner/sweep.h). Only two facts about the
+//    spec itself refuse, through CheckpointSupported(spec): sharded cells and
+//    an opaque memtis_tweak hook. A supervised attempt checks them before it
+//    forks and fails the cell with a structured kInvalidSpec.
 //  - Staleness. Snapshots are keyed by (cell fingerprint, attempt): a re-run
 //    under a different attempt (different derived engine seed) ignores old
 //    snapshots and starts clean; only a same-attempt restart resumes.
 //  - Safety. Corrupt, torn, or version-skewed snapshot files are detected by
 //    the CRC-guarded envelope (src/snapshot/snapshot_file.h), quarantined,
 //    and skipped; a payload that decodes but does not match the rebuilt
-//    engine (config drift, layout skew) is discarded and the run starts
-//    fresh. Every failure mode degrades to recomputation — never to a wrong
-//    result.
+//    engine (config drift, layout skew, a workload region the restored
+//    memory system does not hold, an invariant the full audit census finds
+//    broken) is discarded and the run starts fresh. Every failure mode
+//    degrades to recomputation — never to a wrong result.
 
 #ifndef MEMTIS_SIM_SRC_RUNNER_CHECKPOINT_RUNNER_H_
 #define MEMTIS_SIM_SRC_RUNNER_CHECKPOINT_RUNNER_H_
@@ -35,10 +36,9 @@
 
 namespace memtis {
 
-// True when every layer of the cell can serialize itself: the policy and the
-// workload both opt in via SupportsCheckpoint, the cell is unsharded (shard
-// sub-engines have no snapshot plumbing), and the spec carries no opaque
-// memtis_tweak hook (not representable in a snapshot key). `why`, when
+// True when the cell can checkpoint: it is unsharded (shard sub-engines have
+// no snapshot plumbing) and carries no opaque memtis_tweak hook (not
+// representable in a snapshot key). Looks at the spec alone. `why`, when
 // non-null, receives a one-line reason on refusal.
 bool CheckpointSupported(const JobSpec& spec, std::string* why = nullptr);
 
@@ -57,8 +57,10 @@ std::string BuildSnapshotPayload(const Engine& engine,
 // Restores a payload into freshly constructed components. Returns false (and
 // leaves the components unusable — the caller rebuilds from scratch) on any
 // mismatch: section-marker skew, config drift caught by a state list's
-// cross-check, an index out of range, trailing garbage, or audit-presence
-// disagreement.
+// cross-check, an index out of range, a workload region that is not a live
+// region of the restored memory system, trailing garbage, audit-presence
+// disagreement, or any violation in one full InvariantAuditor census of the
+// restored engine.
 bool RestoreFromPayload(const std::string& payload, Engine& engine,
                         TieringPolicy& policy, Workload& workload,
                         AuditSession* audit);

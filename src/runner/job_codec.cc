@@ -81,10 +81,6 @@ void WriteJobFailureJson(JsonWriter& w, const JobFailure& failure) {
   EncodeJson(w, failure);
 }
 
-bool ReadJobFailureJson(const JsonValue& v, JobFailure* out) {
-  return DecodeJson(v, out);
-}
-
 void WriteJobSpecJson(JsonWriter& w, const JobSpec& spec) {
   EncodeJson(w, spec);
 }

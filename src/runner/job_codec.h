@@ -44,7 +44,6 @@ void WriteJobResultJson(JsonWriter& w, const JobResult& result);
 bool ReadJobResultJson(const JsonValue& v, JobResult* out);
 
 void WriteJobFailureJson(JsonWriter& w, const JobFailure& failure);
-bool ReadJobFailureJson(const JsonValue& v, JobFailure* out);
 
 // Full-fidelity JobSpec record for shipping cells to remote workers
 // (src/runner/work_queue.h); the read also requires a non-empty system and

@@ -97,8 +97,9 @@ struct SupervisorOptions {
   // SIGKILL-class death (watchdog timeout, or a crash whose signal is
   // SIGKILL) the handle relaunches the SAME attempt, which restores from the
   // newest valid snapshot and finishes byte-identical to an uninterrupted
-  // run; a resume is not a new attempt. Cells whose policy or workload
-  // cannot checkpoint fail up front with kInvalidSpec.
+  // run; a resume is not a new attempt. A cell CheckpointSupported refuses
+  // (sharded, or carrying a memtis_tweak) fails with kInvalidSpec before
+  // any fork.
   uint64_t checkpoint_ns = 0;
   std::string checkpoint_dir;
   // Bound on same-attempt resumes per attempt (a snapshot that keeps dying

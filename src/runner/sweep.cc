@@ -47,146 +47,139 @@ int BenchSeeds() {
   return kSeeds;
 }
 
-JobResult RunJob(const JobSpec& spec) {
-  const double footprint_scale =
-      spec.footprint_scale > 0.0 ? spec.footprint_scale : BenchFootprintScale();
-  auto workload =
-      MakeWorkload(spec.benchmark, footprint_scale, spec.workload_seed_offset());
-  const uint64_t footprint = workload->footprint_bytes();
-  const uint64_t fast =
-      spec.fast_bytes_override != 0
-          ? spec.fast_bytes_override
-          : static_cast<uint64_t>(static_cast<double>(footprint) * spec.fast_ratio);
-  const uint64_t capacity = footprint + footprint / 2;
+namespace {
 
-  std::unique_ptr<TieringPolicy> policy;
-  if (spec.memtis_tweak != nullptr &&
-      spec.system.rfind("memtis", 0) == 0) {
-    MemtisConfig cfg = MemtisConfig::ScaledDefaults(footprint, fast);
-    if (spec.system == "memtis-ns") {
-      cfg.enable_split = false;
-      cfg.enable_collapse = false;
-    }
-    policy = std::make_unique<MemtisPolicy>(spec.memtis_tweak(cfg));
-  } else {
-    policy = MakePolicy(spec.system, footprint, fast);
+// The policy `spec` names, sized for (footprint, fast), with the spec's
+// memtis_tweak applied to a MEMTIS variant.
+std::unique_ptr<TieringPolicy> BuildPolicy(const JobSpec& spec,
+                                           uint64_t footprint, uint64_t fast) {
+  if (spec.memtis_tweak == nullptr || spec.system.rfind("memtis", 0) != 0) {
+    return MakePolicy(spec.system, footprint, fast);
   }
+  MemtisConfig cfg = MemtisConfig::ScaledDefaults(footprint, fast);
+  if (spec.system == "memtis-ns") {
+    cfg.enable_split = false;
+    cfg.enable_collapse = false;
+  }
+  return std::make_unique<MemtisPolicy>(spec.memtis_tweak(cfg));
+}
 
-  const MachineConfig machine =
-      spec.cxl ? MakeCxlMachine(fast, capacity) : MakeNvmMachine(fast, capacity);
-  EngineOptions opts;
-  opts.max_accesses = spec.accesses != 0 ? spec.accesses : DefaultAccesses();
-  opts.snapshot_interval_ns = spec.snapshot_interval_ns;
-  opts.cpu_contention = spec.cpu_contention;
-  opts.seed = spec.engine_seed;
+// Auditing: the spec's request wins (collect mode); otherwise the
+// MEMTIS_AUDIT env hook may install an abort-on-violation session (or
+// none). One session per engine — RunJob stays thread-safe.
+std::unique_ptr<AuditSession> BuildAuditSession(const JobSpec& spec) {
+  if (!spec.audit) {
+    return MakeEnvAuditSession();
+  }
+  AuditSessionOptions audit_opts;
+  audit_opts.record_epochs = spec.audit_epoch_interval_ns != 0;
+  if (spec.audit_epoch_interval_ns != 0) {
+    audit_opts.epochs.interval_ns = spec.audit_epoch_interval_ns;
+  }
+  return std::make_unique<AuditSession>(audit_opts);
+}
+
+// Sharded-by-range execution: N independent sub-simulations over workload
+// slices (ShardSlice aborts inside ShardedEngine::Run when the benchmark is
+// not range-shardable), merged deterministically. Policies are built per
+// shard, sized for the shard's machine slice; per-policy introspection
+// (MEMTIS/HeMem stats) is per-shard state and stays out of the merged result.
+JobResult RunSharded(const JobSpec& spec, Cell& cell) {
+  const uint32_t n = spec.shards;
+  const MachineConfig slice = ShardedEngine::SliceMachine(cell.machine, n);
+  const uint64_t fast_slice = slice.mem.fast_frames * kPageSize;
+  const uint64_t footprint_slice = cell.footprint / n;
+  PolicyFactory factory = [&] {
+    return BuildPolicy(spec, footprint_slice, fast_slice);
+  };
+  std::vector<std::unique_ptr<AuditSession>> shard_audit(n);
+  ShardedOptions sopts;
+  sopts.shards = n;
+  sopts.threads = 1;  // RunJobs already parallelizes across cells
+  sopts.engine = cell.options;
+  sopts.audit_for_shard = [&](uint32_t i) -> EngineObserver* {
+    shard_audit[i] = BuildAuditSession(spec);
+    return shard_audit[i].get();
+  };
+  ShardedEngine sharded(cell.machine, factory, sopts);
+  JobResult out;
+  out.metrics = sharded.Run(*cell.workload);
+  out.footprint_bytes = cell.footprint;
+  out.fast_bytes = cell.fast;
+  if (spec.audit) {
+    // Shard-ordered merge: counters summed, recorded violations and epoch
+    // samples concatenated in shard order.
+    out.audited = true;
+    for (uint32_t i = 0; i < n; ++i) {
+      const AuditReport& r = shard_audit[i]->report();
+      out.audit_report.ticks_audited += r.ticks_audited;
+      out.audit_report.checks_run += r.checks_run;
+      out.audit_report.violations_total += r.violations_total;
+      out.audit_report.violations.insert(out.audit_report.violations.end(),
+                                         r.violations.begin(),
+                                         r.violations.end());
+      if (const EpochRecorder* recorder = shard_audit[i]->recorder()) {
+        out.epoch_interval_ns = recorder->options().interval_ns;
+        out.epochs_recorded_total += recorder->recorded_total();
+        // samples() materializes a fresh vector per call: grab it once
+        // (begin/end of two separate temporaries is UB).
+        const std::vector<EpochSample> shard_epochs = recorder->samples();
+        out.epochs.insert(out.epochs.end(), shard_epochs.begin(),
+                          shard_epochs.end());
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+Cell BuildCell(const JobSpec& spec) {
+  Cell cell;
+  cell.workload = MakeWorkload(spec.benchmark, spec.resolved_footprint_scale(),
+                               spec.workload_seed_offset());
+  cell.footprint = cell.workload->footprint_bytes();
+  cell.fast = spec.fast_bytes_override != 0
+                  ? spec.fast_bytes_override
+                  : static_cast<uint64_t>(static_cast<double>(cell.footprint) *
+                                          spec.fast_ratio);
+  const uint64_t capacity = cell.footprint + cell.footprint / 2;
+  cell.machine = spec.cxl ? MakeCxlMachine(cell.fast, capacity)
+                          : MakeNvmMachine(cell.fast, capacity);
+  cell.options.max_accesses = spec.resolved_accesses();
+  cell.options.snapshot_interval_ns = spec.snapshot_interval_ns;
+  cell.options.cpu_contention = spec.cpu_contention;
+  cell.options.seed = spec.engine_seed;
   if (!spec.faults.empty()) {
     std::string fault_error;
-    SIM_CHECK(FaultPlan::Parse(spec.faults, &opts.faults, &fault_error) &&
+    SIM_CHECK(FaultPlan::Parse(spec.faults, &cell.options.faults, &fault_error) &&
               "bad JobSpec::faults spec (validate at the CLI)");
   }
-
   if (spec.shards > 1) {
-    // Sharded-by-range execution: N independent sub-simulations over
-    // workload slices (ShardSlice aborts inside ShardedEngine::Run when the
-    // benchmark is not range-shardable), merged deterministically. Policies
-    // are built per shard, sized for the shard's machine slice; per-policy
-    // introspection (MEMTIS/HeMem stats) is per-shard state and stays out of
-    // the merged result.
-    const uint32_t n = spec.shards;
-    const MachineConfig slice = ShardedEngine::SliceMachine(machine, n);
-    const uint64_t fast_slice = slice.mem.fast_frames * kPageSize;
-    const uint64_t footprint_slice = footprint / n;
-    PolicyFactory factory = [&]() -> std::unique_ptr<TieringPolicy> {
-      if (spec.memtis_tweak != nullptr && spec.system.rfind("memtis", 0) == 0) {
-        MemtisConfig cfg = MemtisConfig::ScaledDefaults(footprint_slice, fast_slice);
-        if (spec.system == "memtis-ns") {
-          cfg.enable_split = false;
-          cfg.enable_collapse = false;
-        }
-        return std::make_unique<MemtisPolicy>(spec.memtis_tweak(cfg));
-      }
-      return MakePolicy(spec.system, footprint_slice, fast_slice);
-    };
-    std::vector<std::unique_ptr<AuditSession>> shard_audit(n);
-    ShardedOptions sopts;
-    sopts.shards = n;
-    sopts.threads = 1;  // RunJobs already parallelizes across cells
-    sopts.engine = opts;
-    sopts.audit_for_shard = [&](uint32_t i) -> EngineObserver* {
-      if (spec.audit) {
-        AuditSessionOptions audit_opts;
-        audit_opts.record_epochs = spec.audit_epoch_interval_ns != 0;
-        audit_opts.epochs.interval_ns =
-            spec.audit_epoch_interval_ns != 0 ? spec.audit_epoch_interval_ns
-                                              : audit_opts.epochs.interval_ns;
-        shard_audit[i] = std::make_unique<AuditSession>(audit_opts);
-      } else {
-        shard_audit[i] = MakeEnvAuditSession();
-      }
-      return shard_audit[i] != nullptr ? shard_audit[i].get() : nullptr;
-    };
-    ShardedEngine sharded(machine, factory, sopts);
-    JobResult out;
-    out.metrics = sharded.Run(*workload);
-    out.footprint_bytes = footprint;
-    out.fast_bytes = fast;
-    if (spec.audit) {
-      // Shard-ordered merge: counters summed, recorded violations and epoch
-      // samples concatenated in shard order.
-      out.audited = true;
-      for (uint32_t i = 0; i < n; ++i) {
-        const AuditReport& r = shard_audit[i]->report();
-        out.audit_report.ticks_audited += r.ticks_audited;
-        out.audit_report.checks_run += r.checks_run;
-        out.audit_report.violations_total += r.violations_total;
-        out.audit_report.violations.insert(out.audit_report.violations.end(),
-                                           r.violations.begin(),
-                                           r.violations.end());
-        if (const EpochRecorder* recorder = shard_audit[i]->recorder()) {
-          out.epoch_interval_ns = recorder->options().interval_ns;
-          out.epochs_recorded_total += recorder->recorded_total();
-          // samples() materializes a fresh vector per call: grab it once
-          // (begin/end of two separate temporaries is UB).
-          const std::vector<EpochSample> shard_epochs = recorder->samples();
-          out.epochs.insert(out.epochs.end(), shard_epochs.begin(),
-                            shard_epochs.end());
-        }
-      }
-    }
-    return out;
+    return cell;
   }
+  cell.policy = BuildPolicy(spec, cell.footprint, cell.fast);
+  cell.audit = BuildAuditSession(spec);
+  cell.options.audit = cell.audit.get();
+  cell.engine = std::make_unique<Engine>(cell.machine, *cell.policy, cell.options);
+  return cell;
+}
 
-  // Auditing: the spec's request wins (collect mode); otherwise the
-  // MEMTIS_AUDIT env hook may install an abort-on-violation session. One
-  // session per job — RunJob stays thread-safe.
-  std::unique_ptr<AuditSession> audit;
-  if (spec.audit) {
-    AuditSessionOptions audit_opts;
-    audit_opts.record_epochs = spec.audit_epoch_interval_ns != 0;
-    audit_opts.epochs.interval_ns =
-        spec.audit_epoch_interval_ns != 0 ? spec.audit_epoch_interval_ns
-                                          : audit_opts.epochs.interval_ns;
-    audit = std::make_unique<AuditSession>(audit_opts);
-  } else {
-    audit = MakeEnvAuditSession();
-  }
-  opts.audit = audit.get();
-  Engine engine(machine, *policy, opts);
-
+JobResult CollectResult(const JobSpec& spec, const Cell& cell, Metrics metrics) {
   JobResult out;
-  out.metrics = engine.Run(*workload);
+  out.metrics = std::move(metrics);
   if (spec.audit) {
     out.audited = true;
-    out.audit_report = audit->report();
-    if (const EpochRecorder* recorder = audit->recorder()) {
+    out.audit_report = cell.audit->report();
+    if (const EpochRecorder* recorder = cell.audit->recorder()) {
       out.epoch_interval_ns = recorder->options().interval_ns;
       out.epochs_recorded_total = recorder->recorded_total();
       out.epochs = recorder->samples();
     }
   }
-  out.footprint_bytes = footprint;
-  out.fast_bytes = fast;
-  if (auto* memtis = dynamic_cast<MemtisPolicy*>(policy.get())) {
+  out.footprint_bytes = cell.footprint;
+  out.fast_bytes = cell.fast;
+  if (const auto* memtis = dynamic_cast<const MemtisPolicy*>(cell.policy.get())) {
     out.is_memtis = true;
     out.memtis_stats = memtis->stats();
     out.mean_ehr = memtis->mean_ehr();
@@ -195,10 +188,18 @@ JobResult RunJob(const JobSpec& spec) {
     out.pebs_load_period = memtis->sampler().period(SampleType::kLlcLoadMiss);
     out.pebs_store_period = memtis->sampler().period(SampleType::kStore);
   }
-  if (auto* hemem = dynamic_cast<HeMemPolicy*>(policy.get())) {
+  if (const auto* hemem = dynamic_cast<const HeMemPolicy*>(cell.policy.get())) {
     out.hemem_overalloc_bytes = hemem->over_allocated_bytes();
   }
   return out;
+}
+
+JobResult RunJob(const JobSpec& spec) {
+  Cell cell = BuildCell(spec);
+  if (spec.shards > 1) {
+    return RunSharded(spec, cell);
+  }
+  return CollectResult(spec, cell, cell.engine->Run(*cell.workload));
 }
 
 JobSpec BaselineSpec(JobSpec spec) {

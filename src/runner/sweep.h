@@ -34,13 +34,16 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/audit/audit.h"
+#include "src/audit/audit_session.h"
 #include "src/audit/epoch_recorder.h"
 #include "src/memtis/memtis_policy.h"
 #include "src/runner/thread_pool.h"
+#include "src/sim/engine.h"
 #include "src/sim/metrics.h"
 
 namespace memtis {
@@ -193,6 +196,25 @@ struct JobResult {
 // Runs one cell to completion. Thread-safe: builds its own workload, policy,
 // and engine, touching no shared mutable state.
 JobResult RunJob(const JobSpec& spec);
+
+// One cell's components as BuildCell makes them from a spec: the single
+// construction path of RunJob (sharded or not) and RunJobCheckpointed, so a
+// checkpointed cell cannot drift from a plain one.
+struct Cell {
+  std::unique_ptr<Workload> workload;
+  uint64_t footprint = 0;
+  uint64_t fast = 0;
+  MachineConfig machine;
+  EngineOptions options;  // options.audit is `audit`
+  // Null for a sharded spec, whose shards build their own.
+  std::unique_ptr<TieringPolicy> policy;
+  std::unique_ptr<AuditSession> audit;  // also null when nothing audits
+  std::unique_ptr<Engine> engine;
+};
+Cell BuildCell(const JobSpec& spec);
+
+// The JobResult of an unsharded cell whose engine finished with `metrics`.
+JobResult CollectResult(const JobSpec& spec, const Cell& cell, Metrics metrics);
 
 // The matching all-capacity (all-NVM/all-CXL + THP) baseline of `spec`.
 JobSpec BaselineSpec(JobSpec spec);

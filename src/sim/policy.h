@@ -133,14 +133,13 @@ class TieringPolicy {
 
   // --- Checkpointing (src/snapshot/) ------------------------------------------
   //
-  // Policies opt in by overriding both hooks. VisitState lists every mutable
-  // field once (src/snapshot/state_codec.h); the same list saves and, into a
-  // freshly constructed policy with the same parameters after Init() ran
-  // (Init must be attach-only / idempotent for checkpointable policies),
-  // loads. A policy that leaves SupportsCheckpoint at the default refuses
-  // checkpointed runs with a structured error up front — never a snapshot
-  // that could restore unfaithfully.
-  virtual bool SupportsCheckpoint() const { return false; }
+  // VisitState lists every mutable field once (src/snapshot/state_codec.h);
+  // the same list saves and, into a freshly constructed policy with the same
+  // parameters after Init() ran (Init must be attach-only / idempotent),
+  // loads. Every policy MakePolicy builds overrides it, and the kill-anywhere
+  // tests walk KnownPolicyNames(), so a registered policy whose list misses a
+  // field fails there. The no-op default serves policies no JobSpec can name
+  // (test decorators, layer tracers).
   virtual void VisitState(StateCodec& c) { (void)c; }
 };
 

@@ -83,13 +83,15 @@ class Workload {
 
   // --- Checkpointing (src/snapshot/) ------------------------------------------
   //
-  // Opt-in like TieringPolicy's hooks. VisitState lists the workload's
-  // cursors and the base addresses of its regions; a load restores them into
-  // a freshly constructed workload of the same (name, scale, seed) — Setup()
+  // Like TieringPolicy's hook. VisitState lists the workload's cursors and
+  // the base addresses of its regions (StateCodec::Region, which a restore
+  // checks against the restored memory system); a load restores them into
+  // a freshly constructed workload of the same (name, scale, seed). Setup()
   // is NOT called on the restore path (the restored MemorySystem already
-  // holds the regions), so the list's load branch must rebuild any derived
-  // structures (indices, samplers) from the saved bases itself.
-  virtual bool SupportsCheckpoint() const { return false; }
+  // holds the regions), so Setup and the load branch share one layout
+  // helper that rebuilds the derived structures (indices, samplers) from
+  // the bases. Every workload MakeWorkload builds overrides it; the no-op
+  // default serves trace replay, which no JobSpec can name.
   virtual void VisitState(StateCodec& c) { (void)c; }
 };
 

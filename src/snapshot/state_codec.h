@@ -35,6 +35,10 @@
 //   n = c.Count(key, n, max)  a size the caller allocates by; a load rejects
 //                             one above `max` before anything is allocated
 //   c.Enum(key, e, limit)     an enum, rejected on load unless below `limit`
+//   c.Region(key, base, bytes) a workload region's start address, stored as
+//                             a Field; a load that was handed the restored
+//                             address space (CheckRegionsWith) fails unless
+//                             a live region of at least `bytes` starts there
 //
 // Sizes an Array reads are bounded the same way, by the bytes left in the
 // stream over the least an element can take. A failed load latches the
@@ -47,6 +51,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <ranges>
 #include <string>
@@ -146,6 +151,17 @@ class StateCodec {
     } else {
       value = static_cast<E>(raw);
     }
+  }
+  void Region(std::string_view, uint64_t& base, uint64_t bytes) {
+    Value(base);
+    if (loading() && region_check_ && ok() && !region_check_(base, bytes)) {
+      Fail();
+    }
+  }
+  // The restored address space Region() checks against: true when a live
+  // region of at least `bytes` starts at `base`.
+  void CheckRegionsWith(std::function<bool(uint64_t base, uint64_t bytes)> fn) {
+    region_check_ = std::move(fn);
   }
 
  private:
@@ -259,6 +275,7 @@ class StateCodec {
 
   StateWriter* w_ = nullptr;
   StateReader* r_ = nullptr;
+  std::function<bool(uint64_t, uint64_t)> region_check_;
 };
 
 }  // namespace memtis

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/snapshot/state_codec.h"
 
 namespace memtis {
 namespace {
@@ -13,15 +14,26 @@ constexpr uint64_t kBatch = 256;
 
 void Graph500Workload::Setup(App& app, Rng& rng) {
   (void)rng;
-  const uint64_t edge_bytes = params_.footprint_bytes * 3 / 4;
-  const uint64_t vertex_bytes = params_.footprint_bytes - edge_bytes;
-  edges_ = app.Alloc(edge_bytes);
-  vertices_ = app.Alloc(vertex_bytes);
-  edge_pages_ = edge_bytes >> kPageShift;
-  vertex_pages_ = vertex_bytes >> kPageShift;
-  gen_budget_ = (edge_pages_ + vertex_pages_) * params_.gen_accesses_per_page;
-  edge_scan_ = std::make_unique<SequentialScanner>(edges_, edge_pages_, 512);
+  edges_ = app.Alloc(EdgeBytes());
+  vertices_ = app.Alloc(VertexBytes());
+  Layout();
+}
+
+void Graph500Workload::Layout() {
+  const uint64_t edge_pages = EdgeBytes() >> kPageShift;
+  vertex_pages_ = VertexBytes() >> kPageShift;
+  gen_budget_ = (edge_pages + vertex_pages_) * params_.gen_accesses_per_page;
+  edge_scan_ = std::make_unique<SequentialScanner>(edges_, edge_pages, 512);
   key_zipf_.emplace(vertex_pages_, 1.1);
+}
+
+void Graph500Workload::VisitState(StateCodec& c) {
+  c.Section(0x47353030u);  // "G500"
+  c.Region("edges", edges_, EdgeBytes());
+  c.Region("vertices", vertices_, VertexBytes());
+  c.Field("issued", issued_);
+  if (c.loading()) Layout();
+  c.Record("edge_scan", *edge_scan_);
 }
 
 bool Graph500Workload::Step(App& app, Rng& rng) {
@@ -54,7 +66,6 @@ bool Graph500Workload::Step(App& app, Rng& rng) {
     if (key >= params_.num_search_keys) {
       return false;
     }
-    current_key_ = key;
     if (rng.NextBool(0.75)) {
       // Vertex access: Zipf rank rotated per key so each BFS has its own
       // (small) hot frontier.
@@ -74,18 +85,34 @@ bool Graph500Workload::Step(App& app, Rng& rng) {
 
 void PageRankWorkload::Setup(App& app, Rng& rng) {
   (void)rng;
-  uint64_t rank_bytes = static_cast<uint64_t>(
-      static_cast<double>(params_.footprint_bytes) * params_.rank_fraction);
-  rank_bytes = std::max<uint64_t>(rank_bytes, kHugePageSize);
-  const uint64_t edge_bytes = params_.footprint_bytes - rank_bytes;
-  edges_ = app.Alloc(edge_bytes);
-  const Vaddr rank_start = app.Alloc(rank_bytes);
-  edge_pages_ = edge_bytes >> kPageShift;
+  edges_ = app.Alloc(EdgeBytes());
+  ranks_base_ = app.Alloc(RankBytes());
+  Layout();
+}
+
+uint64_t PageRankWorkload::RankBytes() const {
+  return std::max<uint64_t>(
+      static_cast<uint64_t>(static_cast<double>(params_.footprint_bytes) *
+                            params_.rank_fraction),
+      kHugePageSize);
+}
+
+void PageRankWorkload::Layout() {
   // Rank vector: mildly skewed (vertex degree skew), huge pages fully used.
-  ranks_ = std::make_unique<SkewedRegion>(rank_start, rank_bytes >> kPageShift,
+  ranks_ = std::make_unique<SkewedRegion>(ranks_base_, RankBytes() >> kPageShift,
                                           /*zipf_s=*/0.7, params_.seed,
                                           /*chunk_pages=*/kSubpagesPerHuge);
-  edge_scan_ = std::make_unique<SequentialScanner>(edges_, edge_pages_, 512);
+  edge_scan_ = std::make_unique<SequentialScanner>(
+      edges_, EdgeBytes() >> kPageShift, 512);
+}
+
+void PageRankWorkload::VisitState(StateCodec& c) {
+  c.Section(0x50524e4bu);  // "PRNK"
+  c.Region("edges", edges_, EdgeBytes());
+  c.Region("ranks", ranks_base_, RankBytes());
+  c.Field("sweeps_done", sweeps_done_);
+  if (c.loading()) Layout();
+  c.Record("edge_scan", *edge_scan_);
 }
 
 bool PageRankWorkload::Step(App& app, Rng& rng) {

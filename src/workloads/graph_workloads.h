@@ -34,16 +34,21 @@ class Graph500Workload : public Workload {
   uint64_t footprint_bytes() const override { return params_.footprint_bytes; }
   void Setup(App& app, Rng& rng) override;
   bool Step(App& app, Rng& rng) override;
+  void VisitState(StateCodec& c) override;
 
  private:
+  uint64_t EdgeBytes() const { return params_.footprint_bytes * 3 / 4; }
+  uint64_t VertexBytes() const { return params_.footprint_bytes - EdgeBytes(); }
+  // Everything but the region bases and the cursors follows from params:
+  // Setup and a load share this.
+  void Layout();
+
   Params params_;
   Vaddr edges_ = 0;
   Vaddr vertices_ = 0;
-  uint64_t edge_pages_ = 0;
   uint64_t vertex_pages_ = 0;
   uint64_t gen_budget_ = 0;
   uint64_t issued_ = 0;
-  uint32_t current_key_ = 0;
   std::unique_ptr<SequentialScanner> edge_scan_;
   std::optional<ZipfSampler> key_zipf_;
 };
@@ -66,11 +71,18 @@ class PageRankWorkload : public Workload {
   uint64_t footprint_bytes() const override { return params_.footprint_bytes; }
   void Setup(App& app, Rng& rng) override;
   bool Step(App& app, Rng& rng) override;
+  void VisitState(StateCodec& c) override;
 
  private:
+  uint64_t RankBytes() const;
+  uint64_t EdgeBytes() const { return params_.footprint_bytes - RankBytes(); }
+  // Builds the rank region and the edge scanner over the bases from params:
+  // Setup and a load share it.
+  void Layout();
+
   Params params_;
   Vaddr edges_ = 0;
-  uint64_t edge_pages_ = 0;
+  Vaddr ranks_base_ = 0;
   std::unique_ptr<SkewedRegion> ranks_;
   std::unique_ptr<SequentialScanner> edge_scan_;
   uint32_t sweeps_done_ = 0;

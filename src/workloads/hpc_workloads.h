@@ -34,9 +34,17 @@ class XSBenchWorkload : public Workload {
   uint64_t footprint_bytes() const override { return params_.footprint_bytes; }
   void Setup(App& app, Rng& rng) override;
   bool Step(App& app, Rng& rng) override;
+  void VisitState(StateCodec& c) override;
 
  private:
+  uint64_t HotBytes() const;
+  uint64_t ColdBytes() const { return params_.footprint_bytes - HotBytes(); }
+  // Builds both hot-region samplers over the bases from params: Setup and a
+  // load share it.
+  void Layout();
+
   Params params_;
+  Vaddr hot_base_ = 0;
   Vaddr cold_ = 0;
   uint64_t cold_pages_ = 0;
   std::unique_ptr<SkewedRegion> hot_flat_;   // early phase: broad hot set
@@ -61,9 +69,15 @@ class LiblinearWorkload : public Workload {
   uint64_t footprint_bytes() const override { return params_.footprint_bytes; }
   void Setup(App& app, Rng& rng) override;
   bool Step(App& app, Rng& rng) override;
+  void VisitState(StateCodec& c) override;
 
  private:
+  // Builds the skewed region and the scanner over base_ from params: Setup
+  // and a load share it.
+  void Layout();
+
   Params params_;
+  Vaddr base_ = 0;
   std::unique_ptr<SkewedRegion> data_;
   std::unique_ptr<SequentialScanner> scan_;
 };

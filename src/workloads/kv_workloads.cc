@@ -12,12 +12,16 @@ constexpr uint64_t kBatch = 256;
 void SiloWorkload::Setup(App& app, Rng& rng) {
   (void)rng;
   base_ = app.Alloc(params_.footprint_bytes);
-  const uint64_t blocks = params_.footprint_bytes / kHugePageSize;
+  Layout();
+  populate_total_ = params_.footprint_bytes >> kPageShift;
+}
+
+void SiloWorkload::Layout() {
   store_ = std::make_unique<SparseHugeRegion>(
-      base_, blocks, params_.zipf_s, params_.hot_per_block,
+      base_, params_.footprint_bytes / kHugePageSize, params_.zipf_s,
+      params_.hot_per_block,
       /*written_per_block=*/static_cast<uint32_t>(kSubpagesPerHuge),
       params_.stray_prob, params_.seed);
-  populate_total_ = params_.footprint_bytes >> kPageShift;
 }
 
 bool SiloWorkload::Step(App& app, Rng& rng) {
@@ -37,31 +41,27 @@ bool SiloWorkload::Step(App& app, Rng& rng) {
 
 void SiloWorkload::VisitState(StateCodec& c) {
   c.Section(0x53494c4fu);  // "SILO"
-  c.Field("base", base_);
+  c.Region("base", base_, params_.footprint_bytes);
   c.Field("populate_cursor", populate_cursor_);
   c.Field("populate_total", populate_total_);
-  // The store layout is deterministic from params + base; Setup() is not
-  // re-run on restore (the allocation already lives in the restored memory
-  // system).
-  if (c.loading()) {
-    const uint64_t blocks = params_.footprint_bytes / kHugePageSize;
-    store_ = std::make_unique<SparseHugeRegion>(
-        base_, blocks, params_.zipf_s, params_.hot_per_block,
-        /*written_per_block=*/static_cast<uint32_t>(kSubpagesPerHuge),
-        params_.stray_prob, params_.seed);
-  }
+  // Setup() is not re-run on restore (the allocation already lives in the
+  // restored memory system).
+  if (c.loading()) Layout();
 }
 
 // --- Btree --------------------------------------------------------------------
 
 void BtreeWorkload::Setup(App& app, Rng& rng) {
   (void)rng;
-  const Vaddr base = app.Alloc(params_.footprint_bytes);
-  const uint64_t blocks = params_.footprint_bytes / kHugePageSize;
-  index_ = std::make_unique<SparseHugeRegion>(base, blocks, params_.zipf_s,
-                                              params_.hot_per_block,
-                                              params_.written_per_block,
-                                              params_.stray_prob, params_.seed);
+  base_ = app.Alloc(params_.footprint_bytes);
+  Layout();
+}
+
+void BtreeWorkload::Layout() {
+  index_ = std::make_unique<SparseHugeRegion>(
+      base_, params_.footprint_bytes / kHugePageSize, params_.zipf_s,
+      params_.hot_per_block, params_.written_per_block, params_.stray_prob,
+      params_.seed);
 }
 
 bool BtreeWorkload::Step(App& app, Rng& rng) {
@@ -82,13 +82,9 @@ void BtreeWorkload::VisitState(StateCodec& c) {
   c.Section(0x42545245u);  // "BTRE"
   // The index is deterministic from params + its base: only the base is
   // stored, and a load rebuilds the index from it.
-  c.Mapped("base", [this] { return index_->start(); }, [this](Vaddr base) {
-    const uint64_t blocks = params_.footprint_bytes / kHugePageSize;
-    index_ = std::make_unique<SparseHugeRegion>(
-        base, blocks, params_.zipf_s, params_.hot_per_block,
-        params_.written_per_block, params_.stray_prob, params_.seed);
-  });
+  c.Region("base", base_, params_.footprint_bytes);
   c.Field("populate_cursor", populate_cursor_);
+  if (c.loading()) Layout();
 }
 
 }  // namespace memtis

@@ -34,10 +34,12 @@ class SiloWorkload : public Workload {
   void Setup(App& app, Rng& rng) override;
   bool Step(App& app, Rng& rng) override;
 
-  bool SupportsCheckpoint() const override { return true; }
   void VisitState(StateCodec& c) override;
 
  private:
+  // Builds the store over base_ from params: Setup and a load share it.
+  void Layout();
+
   Params params_;
   std::unique_ptr<SparseHugeRegion> store_;
   uint64_t populate_cursor_ = 0;  // population writes issued so far
@@ -64,11 +66,14 @@ class BtreeWorkload : public Workload {
   void Setup(App& app, Rng& rng) override;
   bool Step(App& app, Rng& rng) override;
 
-  bool SupportsCheckpoint() const override { return true; }
   void VisitState(StateCodec& c) override;
 
  private:
+  // Builds the index over base_ from params: Setup and a load share it.
+  void Layout();
+
   Params params_;
+  Vaddr base_ = 0;
   std::unique_ptr<SparseHugeRegion> index_;
   uint64_t populate_cursor_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "src/workloads/spec_workloads.h"
 
+#include "src/snapshot/state_codec.h"
+
 namespace memtis {
 namespace {
 constexpr uint64_t kBatch = 256;
@@ -9,14 +11,30 @@ constexpr uint64_t kBatch = 256;
 
 void BwavesWorkload::Setup(App& app, Rng& rng) {
   (void)rng;
-  const Vaddr base = app.Alloc(params_.footprint_bytes);
-  const uint64_t pages = params_.footprint_bytes >> kPageShift;
-  arrays_ = std::make_unique<SkewedRegion>(base, pages, /*zipf_s=*/0.7, params_.seed,
-                                           kSubpagesPerHuge);
-  sweep_ = std::make_unique<SequentialScanner>(base, pages, 1024);
+  base_ = app.Alloc(params_.footprint_bytes);
   transient_ = app.Alloc(params_.short_lived_bytes);
-  transient_pages_ = params_.short_lived_bytes >> kPageShift;
+  Layout();
   next_churn_ = params_.churn_interval;
+}
+
+void BwavesWorkload::Layout() {
+  const uint64_t pages = params_.footprint_bytes >> kPageShift;
+  arrays_ = std::make_unique<SkewedRegion>(base_, pages, /*zipf_s=*/0.7, params_.seed,
+                                           kSubpagesPerHuge);
+  sweep_ = std::make_unique<SequentialScanner>(base_, pages, 1024);
+  transient_pages_ = params_.short_lived_bytes >> kPageShift;
+}
+
+// The transient buffer's base moves with every churn; a restore checks the
+// saved one against the restored memory system before Step frees it.
+void BwavesWorkload::VisitState(StateCodec& c) {
+  c.Section(0x42574156u);  // "BWAV"
+  c.Region("base", base_, params_.footprint_bytes);
+  c.Region("transient", transient_, params_.short_lived_bytes);
+  c.Field("issued", issued_);
+  c.Field("next_churn", next_churn_);
+  if (c.loading()) Layout();
+  c.Record("sweep", *sweep_);
 }
 
 bool BwavesWorkload::Step(App& app, Rng& rng) {
@@ -53,9 +71,21 @@ bool BwavesWorkload::Step(App& app, Rng& rng) {
 void RomsWorkload::Setup(App& app, Rng& rng) {
   (void)rng;
   base_ = app.Alloc(params_.footprint_bytes);
-  pages_ = params_.footprint_bytes >> kPageShift;
-  band_pages_ = pages_ / params_.num_bands;
-  sweep_ = std::make_unique<SequentialScanner>(base_, pages_, 1024);
+  Layout();
+}
+
+void RomsWorkload::Layout() {
+  const uint64_t pages = params_.footprint_bytes >> kPageShift;
+  band_pages_ = pages / params_.num_bands;
+  sweep_ = std::make_unique<SequentialScanner>(base_, pages, 1024);
+}
+
+void RomsWorkload::VisitState(StateCodec& c) {
+  c.Section(0x524f4d53u);  // "ROMS"
+  c.Region("base", base_, params_.footprint_bytes);
+  c.Field("issued", issued_);
+  if (c.loading()) Layout();
+  c.Record("sweep", *sweep_);
 }
 
 bool RomsWorkload::Step(App& app, Rng& rng) {

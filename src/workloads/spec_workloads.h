@@ -35,9 +35,15 @@ class BwavesWorkload : public Workload {
   }
   void Setup(App& app, Rng& rng) override;
   bool Step(App& app, Rng& rng) override;
+  void VisitState(StateCodec& c) override;
 
  private:
+  // Builds the long-lived arrays' sampler and sweep over base_ from params:
+  // Setup and a load share it.
+  void Layout();
+
   Params params_;
+  Vaddr base_ = 0;
   std::unique_ptr<SkewedRegion> arrays_;
   std::unique_ptr<SequentialScanner> sweep_;
   Vaddr transient_ = 0;
@@ -64,11 +70,15 @@ class RomsWorkload : public Workload {
   uint64_t footprint_bytes() const override { return params_.footprint_bytes; }
   void Setup(App& app, Rng& rng) override;
   bool Step(App& app, Rng& rng) override;
+  void VisitState(StateCodec& c) override;
 
  private:
+  // Derives the band geometry and the sweep over base_ from params: Setup
+  // and a load share it.
+  void Layout();
+
   Params params_;
   Vaddr base_ = 0;
-  uint64_t pages_ = 0;
   uint64_t band_pages_ = 0;
   std::unique_ptr<SequentialScanner> sweep_;
   uint64_t issued_ = 0;

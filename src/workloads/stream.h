@@ -48,17 +48,9 @@ class StreamWorkload : public Workload {
 
   void Setup(App& app, Rng& rng) override {
     (void)rng;
-    uint64_t hot_bytes = static_cast<uint64_t>(
-        static_cast<double>(params_.footprint_bytes) * params_.hot_fraction);
-    hot_bytes = std::max<uint64_t>(hot_bytes, kHugePageSize);
-    const uint64_t sweep_bytes = params_.footprint_bytes - hot_bytes;
-    sweep_base_ = app.Alloc(sweep_bytes);
-    const Vaddr hot_base = app.Alloc(hot_bytes);
-    sweep_ = std::make_unique<SequentialScanner>(
-        sweep_base_, sweep_bytes >> kPageShift, params_.stride_bytes);
-    hot_ = std::make_unique<SkewedRegion>(hot_base, hot_bytes >> kPageShift,
-                                          /*zipf_s=*/1.1, params_.seed,
-                                          /*chunk_pages=*/kSubpagesPerHuge);
+    sweep_base_ = app.Alloc(SweepBytes());
+    hot_base_ = app.Alloc(HotBytes());
+    Layout();
   }
 
   std::unique_ptr<Workload> ShardSlice(uint32_t shard,
@@ -111,30 +103,34 @@ class StreamWorkload : public Workload {
 
   // Checkpointing: region geometry is deterministic from params, so only the
   // two base addresses and the sweep cursor are stored; a load rebuilds
-  // the scanner and hot region in place of Setup().
-  bool SupportsCheckpoint() const override { return true; }
+  // the scanner and hot region through Setup's Layout().
   void VisitState(StateCodec& c) override {
     c.Section(0x5354524du);  // "STRM"
-    c.Field("sweep_base", sweep_base_);
-    Vaddr hot_base = hot_ != nullptr ? hot_->start() : 0;
-    c.Field("hot_base", hot_base);
-    if (c.loading()) {
-      uint64_t hot_bytes = static_cast<uint64_t>(
-          static_cast<double>(params_.footprint_bytes) * params_.hot_fraction);
-      hot_bytes = std::max<uint64_t>(hot_bytes, kHugePageSize);
-      const uint64_t sweep_bytes = params_.footprint_bytes - hot_bytes;
-      sweep_ = std::make_unique<SequentialScanner>(
-          sweep_base_, sweep_bytes >> kPageShift, params_.stride_bytes);
-      hot_ = std::make_unique<SkewedRegion>(hot_base, hot_bytes >> kPageShift,
-                                            /*zipf_s=*/1.1, params_.seed,
-                                            /*chunk_pages=*/kSubpagesPerHuge);
-    }
+    c.Region("sweep_base", sweep_base_, SweepBytes());
+    c.Region("hot_base", hot_base_, HotBytes());
+    if (c.loading()) Layout();
     c.Record("sweep", *sweep_);
   }
 
  private:
+  uint64_t HotBytes() const {
+    return std::max<uint64_t>(
+        static_cast<uint64_t>(static_cast<double>(params_.footprint_bytes) *
+                              params_.hot_fraction),
+        kHugePageSize);
+  }
+  uint64_t SweepBytes() const { return params_.footprint_bytes - HotBytes(); }
+  void Layout() {
+    sweep_ = std::make_unique<SequentialScanner>(
+        sweep_base_, SweepBytes() >> kPageShift, params_.stride_bytes);
+    hot_ = std::make_unique<SkewedRegion>(hot_base_, HotBytes() >> kPageShift,
+                                          /*zipf_s=*/1.1, params_.seed,
+                                          /*chunk_pages=*/kSubpagesPerHuge);
+  }
+
   Params params_;
   Vaddr sweep_base_ = 0;
+  Vaddr hot_base_ = 0;
   std::unique_ptr<SequentialScanner> sweep_;
   std::unique_ptr<SkewedRegion> hot_;
 };

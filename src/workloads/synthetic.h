@@ -32,11 +32,8 @@ class SyntheticWorkload : public Workload {
   void Setup(App& app, Rng& rng) override {
     (void)rng;
     base_ = app.Alloc(params_.footprint_bytes);
-    const uint64_t pages = params_.footprint_bytes >> kPageShift;
-    region_ = std::make_unique<SkewedRegion>(base_, pages,
-                                             params_.zipf_s <= 0.0 ? 0.01 : params_.zipf_s,
-                                             params_.seed, params_.chunk_pages);
-    populate_left_ = params_.populate_first ? pages : 0;
+    Layout();
+    populate_left_ = params_.populate_first ? region_->num_pages() : 0;
   }
 
   bool Step(App& app, Rng& rng) override {
@@ -60,21 +57,22 @@ class SyntheticWorkload : public Workload {
   Vaddr base() const { return base_; }
 
   // Checkpointing: Setup() is not re-run on restore — a load rebuilds the
-  // region (deterministic from params + base address).
-  bool SupportsCheckpoint() const override { return true; }
+  // region through Setup's Layout() (deterministic from params + base).
   void VisitState(StateCodec& c) override {
     c.Section(0x53594e54u);  // "SYNT"
-    c.Field("base", base_);
+    c.Region("base", base_, params_.footprint_bytes);
     c.Field("populate_left", populate_left_);
-    if (c.loading()) {
-      const uint64_t pages = params_.footprint_bytes >> kPageShift;
-      region_ = std::make_unique<SkewedRegion>(
-          base_, pages, params_.zipf_s <= 0.0 ? 0.01 : params_.zipf_s,
-          params_.seed, params_.chunk_pages);
-    }
+    if (c.loading()) Layout();
   }
 
  private:
+  void Layout() {
+    region_ = std::make_unique<SkewedRegion>(
+        base_, params_.footprint_bytes >> kPageShift,
+        params_.zipf_s <= 0.0 ? 0.01 : params_.zipf_s, params_.seed,
+        params_.chunk_pages);
+  }
+
   Params params_;
   Vaddr base_ = 0;
   std::unique_ptr<SkewedRegion> region_;

@@ -157,7 +157,6 @@ class CountingPolicy : public TieringPolicy {
   ClassifiedSizes Classify(PolicyContext& ctx) override {
     return inner_->Classify(ctx);
   }
-  bool SupportsCheckpoint() const override { return inner_->SupportsCheckpoint(); }
   void VisitState(StateCodec& c) override { inner_->VisitState(c); }
 
  private:

@@ -18,6 +18,7 @@
 
 #include "src/common/json.h"
 #include "src/common/status.h"
+#include "src/memtis/policy_registry.h"
 #include "src/runner/checkpoint_runner.h"
 #include "src/runner/coordinator.h"
 #include "src/runner/job_codec.h"
@@ -28,6 +29,7 @@
 #include "src/runner/worker.h"
 #include "src/snapshot/serializer.h"
 #include "src/snapshot/snapshot_file.h"
+#include "src/workloads/registry.h"
 #include "tests/socket_campaign.h"
 
 namespace memtis {
@@ -80,6 +82,32 @@ JobSpec CheckpointableSpec(const std::string& system, uint64_t engine_seed,
 // Snapshot cadence dense enough that a 30k-access run writes several
 // snapshots, so "kill after the Nth" lands mid-run, not at the end.
 constexpr uint64_t kIntervalNs = 200'000;
+
+// The kill-anywhere tables, built from the registries so that a policy or
+// workload registered later is covered without editing a list: every policy
+// on btree, and memtis on every paper workload.
+std::vector<JobSpec> EveryRegisteredCell(uint64_t engine_seed) {
+  std::vector<JobSpec> cells;
+  for (const std::string& system : KnownPolicyNames()) {
+    cells.push_back(CheckpointableSpec(system, engine_seed));
+  }
+  for (const std::string& benchmark : StandardBenchmarks()) {
+    JobSpec spec = CheckpointableSpec("memtis", engine_seed);
+    spec.benchmark = benchmark;
+    if (benchmark == "603.bwaves") {
+      // Past its 60k-access churn_interval: later snapshots hold a buffer
+      // that was freed and allocated again.
+      spec.accesses = 90'000;
+    }
+    cells.push_back(spec);
+  }
+  return cells;
+}
+
+std::string CellName(const JobSpec& spec) {
+  return spec.system + "/" + spec.benchmark + " seed " +
+         std::to_string(spec.engine_seed);
+}
 
 // ---------------------------------------------------------------------------
 // Serializer.
@@ -436,13 +464,11 @@ TEST(SnapshotStore, QuarantinesCorruptSlotAndFallsBack) {
 // Checkpointed execution: in-process differentials.
 
 TEST(Checkpoint, UninterruptedRunIsByteIdenticalToPlain) {
-  for (const std::string system : {"memtis", "hemem", "autotiering"}) {
-    for (const uint64_t seed : {42ull, 1337ull}) {
-      const JobSpec spec = CheckpointableSpec(system, seed);
+  for (const uint64_t seed : {42ull, 1337ull}) {
+    for (const JobSpec& spec : EveryRegisteredCell(seed)) {
       const std::string reference = ResultBytes(RunJob(spec));
 
-      const std::string dir = TempDirFor("ck_plain_" + system +
-                                         std::to_string(seed));
+      const std::string dir = TempDirFor("ck_plain");
       CheckpointContext ctx;
       ctx.interval_ns = kIntervalNs;
       ctx.snapshot_base = dir + "/cell.ckpt";
@@ -450,14 +476,34 @@ TEST(Checkpoint, UninterruptedRunIsByteIdenticalToPlain) {
       bool resumed = true;
       ctx.resumed = &resumed;
       EXPECT_EQ(ResultBytes(RunJobCheckpointed(spec, ctx)), reference)
-          << system << " seed " << seed;
+          << CellName(spec);
       EXPECT_FALSE(resumed);
 
       // Snapshots were actually written at this cadence.
       SnapshotStore store(ctx.snapshot_base);
       SnapshotBlob blob;
-      EXPECT_TRUE(store.LoadNewest(ctx.fingerprint, 0, &blob));
+      EXPECT_TRUE(store.LoadNewest(ctx.fingerprint, 0, &blob)) << CellName(spec);
     }
+  }
+}
+
+// The in-process resume differential over every registered policy and
+// workload: a second invocation restores the first one's newest snapshot
+// and replays only the tail, and the result must not change by a byte.
+TEST(Checkpoint, EveryRegisteredCellResumesByteIdentical) {
+  for (const JobSpec& spec : EveryRegisteredCell(42)) {
+    const std::string reference = ResultBytes(RunJob(spec));
+    CheckpointContext ctx;
+    ctx.interval_ns = kIntervalNs;
+    ctx.snapshot_base = TempDirFor("ck_every") + "/cell.ckpt";
+    ctx.fingerprint = JobFingerprint(spec);
+    ASSERT_EQ(ResultBytes(RunJobCheckpointed(spec, ctx)), reference)
+        << CellName(spec);
+    bool resumed = false;
+    ctx.resumed = &resumed;
+    EXPECT_EQ(ResultBytes(RunJobCheckpointed(spec, ctx)), reference)
+        << CellName(spec);
+    EXPECT_TRUE(resumed) << CellName(spec);
   }
 }
 
@@ -505,36 +551,36 @@ TEST(Checkpoint, StaleAttemptSnapshotIsIgnored) {
   EXPECT_FALSE(resumed);
 }
 
+// Only facts about the spec itself refuse; every policy and workload can.
 TEST(Checkpoint, UnsupportedSpecsRefuseWithReason) {
   std::string why;
-  JobSpec spec = CheckpointableSpec("nimble", 42);
-  EXPECT_FALSE(CheckpointSupported(spec, &why));
-  EXPECT_NE(why.find("nimble"), std::string::npos) << why;
-
-  spec = CheckpointableSpec("memtis", 42);
-  spec.benchmark = "pagerank";
-  EXPECT_FALSE(CheckpointSupported(spec, &why));
-  EXPECT_NE(why.find("pagerank"), std::string::npos) << why;
-
-  spec = CheckpointableSpec("memtis", 42);
+  JobSpec spec = CheckpointableSpec("memtis", 42);
   spec.benchmark = "stream";
   spec.shards = 4;
   EXPECT_FALSE(CheckpointSupported(spec, &why));
+  EXPECT_NE(why.find("shards"), std::string::npos) << why;
 
   spec = CheckpointableSpec("memtis", 42);
   spec.memtis_tweak = [](MemtisConfig c) { return c; };
   EXPECT_FALSE(CheckpointSupported(spec, &why));
+  EXPECT_NE(why.find("memtis_tweak"), std::string::npos) << why;
 
   EXPECT_TRUE(CheckpointSupported(CheckpointableSpec("memtis", 42)));
   EXPECT_TRUE(CheckpointSupported(CheckpointableSpec("all-fast", 42)));
+  EXPECT_TRUE(CheckpointSupported(CheckpointableSpec("nimble", 42)));
+  spec = CheckpointableSpec("memtis", 42);
+  spec.benchmark = "pagerank";
+  EXPECT_TRUE(CheckpointSupported(spec));
 }
 
 TEST(Checkpoint, SupervisedRefusalIsStructuredInvalidSpec) {
   SupervisorOptions sup;
   sup.checkpoint_ns = kIntervalNs;
   sup.checkpoint_dir = TempDirFor("ck_refuse");
-  const SupervisedOutcome outcome =
-      RunJobSupervised(CheckpointableSpec("nimble", 42), 0, sup);
+  JobSpec sharded = CheckpointableSpec("memtis", 42);
+  sharded.benchmark = "stream";
+  sharded.shards = 4;
+  const SupervisedOutcome outcome = RunJobSupervised(sharded, 0, sup);
   EXPECT_FALSE(outcome.ok);
   EXPECT_EQ(outcome.failure.kind, FailureKind::kInvalidSpec);
   EXPECT_NE(outcome.failure.message.find("checkpoint"), std::string::npos)
@@ -548,23 +594,20 @@ TEST(Checkpoint, SupervisedRefusalIsStructuredInvalidSpec) {
 // auditing.
 
 TEST(Checkpoint, KilledChildResumesByteIdentical) {
-  for (const std::string system : {"memtis", "hemem", "autotiering"}) {
-    for (const uint64_t seed : {42ull, 1337ull}) {
-      const JobSpec spec = CheckpointableSpec(system, seed);
+  for (const uint64_t seed : {42ull, 1337ull}) {
+    for (const JobSpec& spec : EveryRegisteredCell(seed)) {
       const std::string reference = ResultBytes(RunJob(spec));
       for (const char* kill_after : {"1", "2"}) {
         SupervisorOptions sup;
         sup.checkpoint_ns = kIntervalNs;
-        sup.checkpoint_dir = TempDirFor("ck_kill_" + system +
-                                        std::to_string(seed) + kill_after);
+        sup.checkpoint_dir = TempDirFor("ck_kill");
         ScopedEnv kill("MEMTIS_KILL_AFTER_CHECKPOINTS", kill_after);
         const SupervisedOutcome outcome = RunJobSupervised(spec, 0, sup);
-        ASSERT_TRUE(outcome.ok)
-            << system << " seed " << seed << " kill@" << kill_after << ": "
-            << outcome.failure.message;
+        ASSERT_TRUE(outcome.ok) << CellName(spec) << " kill@" << kill_after
+                                << ": " << outcome.failure.message;
         EXPECT_EQ(outcome.attempts, 1);  // resumed, not retried
         EXPECT_EQ(ResultBytes(outcome.result), reference)
-            << system << " seed " << seed << " kill@" << kill_after;
+            << CellName(spec) << " kill@" << kill_after;
       }
     }
   }
